@@ -8,6 +8,7 @@
 #include "bench_util.hpp"
 #include "core/moments.hpp"
 #include "demand/binding.hpp"
+#include "mc/campaign.hpp"
 #include "protection/system.hpp"
 
 int main() {
@@ -22,23 +23,38 @@ int main() {
       {make_box_region(box({0.40, 0.05}, {0.75, 0.20})), 0.45},
       {make_ellipsoid_region({0.2, 0.8}, {0.10, 0.08}), 0.10},
   };
-  protection::plant::config pcfg;
-  protection::plant pl(pcfg);
+  const protection::plant::config pcfg;
+  // Demands are i.i.d. (the plant state resets after every demand), so the
+  // calibration shards and the developments each get their own derived
+  // stream and fan out over the hardware threads; the results depend on the
+  // seeds only, never on the thread count.
+  auto stream = [](std::uint64_t seed, std::size_t job) {
+    return stats::rng(mc::target_stream_seed(seed, job));
+  };
 
   // Calibrate q_i under the PLANT's demand profile by sampling its demands.
   benchutil::section("step 1: calibrate q_i under the plant's demand profile");
-  stats::rng cal(171);
-  const std::uint64_t cal_demands = 200000;
+  const std::size_t cal_shards = 100;
+  const std::uint64_t cal_per_shard = 2000;
+  const std::uint64_t cal_demands = cal_shards * cal_per_shard;
   std::vector<std::uint64_t> hits(faults.size(), 0);
-  {
-    protection::plant calibration_plant(pcfg);
-    for (std::uint64_t d = 0; d < cal_demands; ++d) {
-      const auto x = calibration_plant.next_demand(cal);
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        if (faults[i].footprint->contains(x)) ++hits[i];
-      }
-    }
-  }
+  mc::run_jobs(
+      0, cal_shards, /*threads=*/0,
+      [&](std::size_t shard) {
+        stats::rng cal = stream(171, shard);
+        protection::plant calibration_plant(pcfg);
+        std::vector<std::uint64_t> local(faults.size(), 0);
+        for (std::uint64_t d = 0; d < cal_per_shard; ++d) {
+          const auto x = calibration_plant.next_demand(cal);
+          for (std::size_t i = 0; i < faults.size(); ++i) {
+            if (faults[i].footprint->contains(x)) ++local[i];
+          }
+        }
+        return local;
+      },
+      [&](std::size_t, std::vector<std::uint64_t>&& local) {
+        for (std::size_t i = 0; i < faults.size(); ++i) hits[i] += local[i];
+      });
   std::vector<core::fault_atom> atoms;
   benchutil::table q({"fault", "region", "p", "q (plant profile)"});
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -51,20 +67,24 @@ int main() {
   const core::fault_universe u(atoms, true);
 
   benchutil::section("step 2: many independent developments, operational campaigns");
-  stats::rng dev(172);
-  stats::rng op(173);
-  const int developments = 300;
+  const std::size_t developments = 300;
   const std::uint64_t demands_each = 4000;
   double sum_ch = 0.0;
   double sum_sys = 0.0;
-  for (int d = 0; d < developments; ++d) {
-    protection::one_out_of_two sys(protection::develop_channel(faults, dev),
-                                   protection::develop_channel(faults, dev));
-    protection::plant run_plant(pcfg);
-    const auto res = protection::run_campaign(run_plant, sys, demands_each, op);
-    sum_ch += 0.5 * (res.channel_a_pfd() + res.channel_b_pfd());
-    sum_sys += res.system_pfd();
-  }
+  mc::run_jobs(
+      0, developments, /*threads=*/0,
+      [&](std::size_t d) {
+        stats::rng dev = stream(172, d);
+        stats::rng op = stream(173, d);
+        protection::one_out_of_two sys(protection::develop_channel(faults, dev),
+                                       protection::develop_channel(faults, dev));
+        protection::plant run_plant(pcfg);
+        return protection::run_campaign(run_plant, sys, demands_each, op);
+      },
+      [&](std::size_t, protection::campaign_result&& res) {
+        sum_ch += 0.5 * (res.channel_a_pfd() + res.channel_b_pfd());
+        sum_sys += res.system_pfd();
+      });
   const double mean_channel_pfd = sum_ch / developments;
   const double mean_system_pfd = sum_sys / developments;
 
@@ -82,5 +102,5 @@ int main() {
                      "channel and system PFDs (the Fig. 1 arrangement works as modelled)");
   std::printf("  diversity gain realized in simulation: %.1fx (model predicts %.1fx)\n",
               mean_channel_pfd / mean_system_pfd, m1.mean / m2.mean);
-  return 0;
+  return benchutil::exit_status();
 }

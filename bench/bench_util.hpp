@@ -2,7 +2,9 @@
 // Shared formatting helpers for the reproduction benches.  Each bench binary
 // prints (a) what the paper states, (b) what this implementation measures,
 // and (c) a qualitative-shape verdict, so EXPERIMENTS.md can be regenerated
-// by running `for b in build/bench/*; do $b; done`.
+// by running `for b in build/bench/*; do $b; done`.  Verdicts are tallied:
+// main returns exit_status(), which is nonzero after any MISMATCH, so a
+// reproduction gates its claims rather than only printing them.
 
 #include <cstdio>
 #include <string>
@@ -16,7 +18,12 @@ inline void title(const std::string& id, const std::string& what) {
   std::printf("==============================================================================\n");
 }
 
-inline void section(const std::string& name) { std::printf("\n--- %s ---\n", name.c_str()); }
+/// Starts a section and flushes what came before, so a run cut short by a
+/// timeout still shows how far it got when stdout is a pipe.
+inline void section(const std::string& name) {
+  std::printf("\n--- %s ---\n", name.c_str());
+  std::fflush(stdout);
+}
 
 inline void note(const std::string& text) { std::printf("  %s\n", text.c_str()); }
 
@@ -53,8 +60,19 @@ inline std::string fmt(double x, const char* spec = "%.6g") {
 
 inline std::string sci(double x) { return fmt(x, "%.3e"); }
 
+/// Verdicts printed so far: {reproduced, mismatched}.
+inline int verdicts[2] = {0, 0};
+
 inline void verdict(bool ok, const std::string& claim) {
   std::printf("  [%s] %s\n", ok ? "REPRODUCED" : "MISMATCH", claim.c_str());
+  ++verdicts[ok ? 0 : 1];
+}
+
+/// Print the tally and return main's exit status: 1 on any MISMATCH.
+inline int exit_status() {
+  std::printf("\n  verdicts: %d reproduced, %d mismatched\n", verdicts[0], verdicts[1]);
+  std::fflush(stdout);
+  return verdicts[1] > 0 ? 1 : 0;
 }
 
 }  // namespace benchutil

@@ -64,6 +64,8 @@ KEY_RATIOS = [
     ("service memoized query vs cold submit->merge",
      "BM_ServiceSubmitToMerged/real_time",
      "BM_ServiceMemoizedQuery/real_time", False),
+    ("plant demand block kernel vs step-by-step reference loop",
+     "BM_PlantDemandReference/real_time", "BM_PlantDemand/real_time", False),
 ]
 
 

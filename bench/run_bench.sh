@@ -19,14 +19,17 @@
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
+#   BENCH_p6.json — Fig. 1 plant demand kernel (bench_p6_plant): block
+#                   ziggurat normals + geometric kick gaps vs the
+#                   step-by-step reference loop, single-threaded.
 #
 # Usage: bench/run_bench.sh [build-dir] [p1-json] [p2-json] [p3-json]
-#        [p4-json] [p5-json]
+#        [p4-json] [p5-json] [p6-json]
 #
 # Failure contract: every child failure is fatal — a broken build, a bench
 # binary that crashes or is killed, or a run that emits missing/empty/
 # unparseable JSON all exit nonzero.  No `|| true`, no output swallowing:
-# a green run means three validated result files exist.
+# a green run means six validated result files exist.
 set -euo pipefail
 
 trap 'echo "run_bench.sh: FAILED at line $LINENO (exit $?)" >&2' ERR
@@ -38,12 +41,13 @@ out_json_p2="${3:-$repo_root/BENCH_p2.json}"
 out_json_p3="${4:-$repo_root/BENCH_p3.json}"
 out_json_p4="${5:-$repo_root/BENCH_p4.json}"
 out_json_p5="${6:-$repo_root/BENCH_p5.json}"
+out_json_p6="${7:-$repo_root/BENCH_p6.json}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
       -DRELDIV_BUILD_TESTS=OFF -DRELDIV_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$build_dir" -j --target bench_p1_perf --target bench_runner_scaling \
       --target bench_campaign_scaling --target bench_p4_simd \
-      --target bench_p5_service >/dev/null
+      --target bench_p5_service --target bench_p6_plant >/dev/null
 
 # Run a bench binary and insist its JSON landed: google-benchmark can exit 0
 # in some misconfiguration corners, so an existence check backs up the exit
@@ -68,6 +72,8 @@ echo
 run_bench "$build_dir/bench_p4_simd" "$out_json_p4"
 echo
 run_bench "$build_dir/bench_p5_service" "$out_json_p5"
+echo
+run_bench "$build_dir/bench_p6_plant" "$out_json_p6"
 
 echo
 echo "Wrote $out_json"
@@ -75,10 +81,12 @@ echo "Wrote $out_json_p2"
 echo "Wrote $out_json_p3"
 echo "Wrote $out_json_p4"
 echo "Wrote $out_json_p5"
+echo "Wrote $out_json_p6"
 # Validate + summarize: the summary doubles as the JSON sanity gate, and its
 # failure fails the script (it used to be `|| true`-swallowed, so a bench
 # emitting garbage still yielded a green step).
-python3 - "$out_json" "$out_json_p2" "$out_json_p3" "$out_json_p4" "$out_json_p5" <<'EOF'
+python3 - "$out_json" "$out_json_p2" "$out_json_p3" "$out_json_p4" "$out_json_p5" \
+          "$out_json_p6" <<'EOF'
 import json, sys
 
 def load(path):
@@ -132,4 +140,11 @@ hot = p5.get("BM_ServiceMemoizedQuery/real_time")
 if cold and hot:
     print(f"service query: cold submit->merged {cold:.2f}ms -> memoized {hot:.4f}ms "
           f"({cold / hot:.0f}x)")
+
+p6 = load(sys.argv[6])
+reference = p6.get("BM_PlantDemandReference/real_time")
+kernel = p6.get("BM_PlantDemand/real_time")
+if reference and kernel:
+    print(f"plant demands (32 per iteration): reference loop {reference:.2f}ms -> "
+          f"block kernel {kernel:.2f}ms ({reference / kernel:.2f}x)")
 EOF

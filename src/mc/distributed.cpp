@@ -367,6 +367,7 @@ run_handle run_handle::init(const scenario_axes& axes, const scenario_config& cf
   m.seed = cfg.seed;
   m.shards = cfg.shards;
   m.cell_count = enumerate_cells(axes).size();
+  check_mixture_feasible(axes);
   const std::uint64_t fingerprint = manifest_fingerprint(m);
   init_run_dir_files(run_dir, state_kind::manifest, fingerprint, encode_manifest(m),
                      manifest_json(m));

@@ -191,6 +191,27 @@ scenario_cell_result run_scenario_cell(const scenario_axes& axes, const scenario
   return run_cell(axes, cfg, cell, cell_index);
 }
 
+void check_mixture_feasible(const scenario_axes& axes) {
+  if (axes.rho_model != correlation_model::mixture) return;
+  for (const auto& [name, base] : axes.universes) {
+    for (const std::size_t k : axes.aliasing) {
+      std::optional<core::fault_universe> aliased;
+      if (k > 1) aliased.emplace(split_into_mistakes(base, k).effective_universe());
+      const core::fault_universe& effective = aliased ? *aliased : base;
+      for (const double rho : axes.correlations) {
+        try {
+          (void)common_cause_mixture(effective, rho, axes.stress);
+        } catch (const std::invalid_argument& e) {
+          char where[96];
+          std::snprintf(where, sizeof(where), "' at aliasing %zu: rho %.17g with stress %.17g: ",
+                        k, rho, axes.stress);
+          throw std::invalid_argument("universe '" + name + where + e.what());
+        }
+      }
+    }
+  }
+}
+
 std::vector<scenario_cell> enumerate_cells(const scenario_axes& axes) {
   if (axes.universes.empty() || axes.correlations.empty() || axes.overlaps.empty() ||
       axes.aliasing.empty() || axes.adjudications.empty() || axes.budgets.empty()) {

@@ -132,6 +132,14 @@ struct grid_result {
 /// index and seed) is exactly the historical five-axis order.
 [[nodiscard]] std::vector<scenario_cell> enumerate_cells(const scenario_axes& axes);
 
+/// Under the mixture model, build the common_cause_mixture of every
+/// (universe, aliasing, ρ) combination on its effective universe, exactly as
+/// run_scenario_cell will, and throw std::invalid_argument naming the first
+/// infeasible one (ρ·stress too large for some p).  A no-op for copula axes.
+/// enumerate_cells does not run this check: it is for the entry points that
+/// accept new axes, so that no worker meets such a cell.
+void check_mixture_feasible(const scenario_axes& axes);
+
 /// Run one cell of the grid.  `cell` must be enumerate_cells(axes)[cell_index]
 /// — the index (not the coordinates) seeds the cell campaign, so the result
 /// is exactly the entry the full-grid run produces at that position.  This is

@@ -695,9 +695,12 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     }
 
     std::size_t axes_line = sweep_sec->line;
+    std::size_t rho_line = sweep_sec->line;
     if (axes_sec != nullptr) {
       axes_line = axes_sec->line;
+      rho_line = axes_sec->line;
       section_view aview(*axes_sec, ctx);
+      if (const raw_entry* e = aview.find("rho"); e != nullptr) rho_line = e->line;
       axes.correlations = aview.f64_list_or("rho", {0.0});
       axes.overlaps = aview.f64_list_or("omega", {1.0});
       {
@@ -775,6 +778,15 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
         m.cell_count = enumerate_cells(m.axes).size();
       } catch (const std::invalid_argument& e) {
         ctx.error(axes_line, "axes", std::string("infeasible axes: ") + e.what());
+      }
+      // Per effective (aliased) universe: a cell the worker could not
+      // sample is refused here, on the line that chose its ρ.
+      if (ctx.ok()) {
+        try {
+          check_mixture_feasible(m.axes);
+        } catch (const std::invalid_argument& e) {
+          ctx.error(rho_line, "rho", std::string("infeasible mixture cells: ") + e.what());
+        }
       }
       spec.manifest = std::move(m);
     }

@@ -15,34 +15,128 @@ plant::plant(config cfg) : cfg_(cfg), state_(cfg.dims, 0.0) {
   if (!(cfg_.reversion >= 0.0) || cfg_.reversion > 1.0) {
     throw std::invalid_argument("plant: reversion must be in [0,1]");
   }
-  if (!(cfg_.volatility > 0.0)) throw std::invalid_argument("plant: volatility must be > 0");
-  if (!(cfg_.trip_threshold > 0.0)) {
-    throw std::invalid_argument("plant: trip_threshold must be > 0");
+  if (!(cfg_.volatility > 0.0) || !std::isfinite(cfg_.volatility)) {
+    throw std::invalid_argument("plant: volatility must be finite and > 0");
+  }
+  if (!(cfg_.transient_rate >= 0.0) || cfg_.transient_rate > 1.0) {
+    throw std::invalid_argument("plant: transient_rate must be in [0,1]");
+  }
+  if (!std::isfinite(cfg_.transient_size)) {
+    throw std::invalid_argument("plant: transient_size must be finite");
+  }
+  if (!(cfg_.trip_threshold > 0.0) || !std::isfinite(cfg_.trip_threshold)) {
+    throw std::invalid_argument("plant: trip_threshold must be finite and > 0");
+  }
+  if (cfg_.max_steps_per_demand == 0) {
+    throw std::invalid_argument("plant: max_steps_per_demand must be > 0");
   }
 }
 
+namespace {
+
+/// Steps per noise block: a block's normals are drawn in one fill_normals
+/// call, dimension-major, and overwritten in place by the state path.
+constexpr std::size_t kBlockSteps = 256;
+
+/// The OU recurrence s[k] = keep * s[k-1] + e[k] over one dimension's block,
+/// in place: on return e[k] holds s[k].  Four steps per iteration hang off
+/// one loop-carried multiply-add (s[k+j] = keep^(j+1) * s[k-1] + the
+/// increments' decayed sum), so the loop is not bound by a chain of
+/// dependent multiply-adds; it differs from the step-by-step loop by
+/// rounding only.
+void ou_path(double* e, double s, double keep) {
+  const double k2 = keep * keep;
+  const double k3 = k2 * keep;
+  const double k4 = k2 * k2;
+  static_assert(kBlockSteps % 4 == 0);
+  for (std::size_t k = 0; k < kBlockSteps; k += 4) {
+    const double e1 = e[k];
+    const double e2 = keep * e1 + e[k + 1];
+    const double e3 = keep * e2 + e[k + 2];
+    const double e4 = keep * e3 + e[k + 3];
+    e[k] = keep * s + e1;
+    e[k + 1] = k2 * s + e2;
+    e[k + 2] = k3 * s + e3;
+    s = k4 * s + e4;
+    e[k + 3] = s;
+  }
+}
+
+}  // namespace
+
 demand::point plant::next_demand(stats::rng& r) {
-  for (std::uint64_t step = 0; step < cfg_.max_steps_per_demand; ++step) {
-    bool tripped = false;
-    for (auto& s : state_) {
-      s += -cfg_.reversion * s + cfg_.volatility * stats::normal_deviate(r);
-      if (r.bernoulli(cfg_.transient_rate)) {
-        s += cfg_.transient_size * (r.bernoulli(0.5) ? 1.0 : -1.0);
+  const std::size_t dims = cfg_.dims;
+  const std::uint64_t max_steps = cfg_.max_steps_per_demand;
+  const double keep = 1.0 - cfg_.reversion;
+  const double vol = cfg_.volatility;
+  const double threshold = cfg_.trip_threshold;
+  const double rate = cfg_.transient_rate;
+  const double log_stay = std::log1p(-rate);
+
+  // Kicks are per-step Bernoulli(rate) trials, so the number of kick-free
+  // steps before a dimension's next kick is geometric; drawing it afresh at
+  // every call is exact because the geometric law is memoryless.  One word
+  // gives the gap (top 53 bits) and the kick's sign (bit 0).  Returns the
+  // step index of the next kick at or after `from`, or max_steps when it
+  // falls beyond this call's budget: the gap saturates there before any
+  // double-to-integer cast.
+  auto next_kick = [&](std::uint64_t from, double& kick) -> std::uint64_t {
+    if (rate <= 0.0) return max_steps;
+    const std::uint64_t w = r();
+    kick = (w & 1) != 0 ? cfg_.transient_size : -cfg_.transient_size;
+    if (rate >= 1.0) return from;
+    const double u = (static_cast<double>(w >> 11) + 0.5) * 0x1.0p-53;  // (0,1)
+    const double gap = std::log(u) / log_stay;  // >= 0; the cast truncates it to the floor
+    const std::uint64_t left = max_steps - from;
+    const std::uint64_t skip =
+        gap < static_cast<double>(left) ? static_cast<std::uint64_t>(gap) : left;
+    return skip < left ? from + skip : max_steps;
+  };
+
+  std::vector<double> state = state_;
+  std::vector<std::uint64_t> kick_at(dims);
+  std::vector<double> kick(dims, 0.0);
+  for (std::size_t d = 0; d < dims; ++d) kick_at[d] = next_kick(0, kick[d]);
+  std::vector<double> path(kBlockSteps * dims);
+
+  for (std::uint64_t begin = 0; begin < max_steps;) {
+    // Steps of this block within the budget; the path runs the whole block
+    // and the steps beyond are ignored.
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kBlockSteps, max_steps - begin));
+    stats::fill_normals(r, path);
+    std::size_t trip = n;  // the block's first step with a crossing, if < n
+    for (std::size_t d = 0; d < dims; ++d) {
+      double* e = path.data() + d * kBlockSteps;
+      for (std::size_t k = 0; k < kBlockSteps; ++k) e[k] *= vol;
+      // A kick adds to its step's increment.
+      for (std::uint64_t& at = kick_at[d]; at < begin + n; at = next_kick(at + 1, kick[d])) {
+        e[at - begin] += kick[d];
       }
-      if (std::fabs(s) >= cfg_.trip_threshold) tripped = true;
+      ou_path(e, state[d], keep);
+      state[d] = e[n - 1];
+      for (std::size_t k = 0; k < trip; ++k) {
+        if (std::fabs(e[k]) >= threshold) {
+          trip = k;
+          break;
+        }
+      }
     }
-    if (tripped) {
+    if (trip < n) {
       // Normalize the excursion snapshot to the unit box: map deviation in
-      // [-2*threshold, 2*threshold] to [0,1], clamped.
-      demand::point x(state_.size());
-      for (std::size_t d = 0; d < state_.size(); ++d) {
-        x[d] = std::clamp(0.5 + state_[d] / (4.0 * cfg_.trip_threshold), 0.0, 1.0);
+      // [-2*threshold, 2*threshold] to [0,1], clamped.  The state resets
+      // toward normal operation after the event; the block's unused normals
+      // are discarded, so nothing but the zero state carries to the next call.
+      demand::point x(dims);
+      for (std::size_t d = 0; d < dims; ++d) {
+        x[d] = std::clamp(0.5 + path[d * kBlockSteps + trip] / (4.0 * threshold), 0.0, 1.0);
       }
-      // Reset toward normal operation after the event.
       std::fill(state_.begin(), state_.end(), 0.0);
       return x;
     }
+    begin += n;
   }
+  state_ = std::move(state);
   throw std::runtime_error("plant: no demand within max_steps_per_demand");
 }
 

@@ -43,7 +43,15 @@ class plant {
   explicit plant(config cfg);
 
   /// Advance until the next demand and return the demanded state as a point
-  /// in [0,1]^dims.
+  /// in [0,1]^dims.  Throws std::runtime_error, keeping the state reached,
+  /// when no demand occurs within max_steps_per_demand steps.
+  ///
+  /// The contract is distributional, not bit-level: each call draws its
+  /// step noise from `r` in blocks of normals (stats::fill_normals) and its
+  /// kick arrivals as geometric gaps, so the demands have the law of the
+  /// per-step loop (one normal and one Bernoulli(transient_rate) kick trial
+  /// per dimension and step) but not its rng stream.  Every draw of a call
+  /// comes from that call's `r`; nothing random carries across calls.
   [[nodiscard]] demand::point next_demand(stats::rng& r);
 
   [[nodiscard]] const config& parameters() const noexcept { return cfg_; }

@@ -1,7 +1,10 @@
 #include "stats/random.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+
+#include "stats/ziggurat.hpp"
 
 namespace reldiv::stats {
 
@@ -16,6 +19,59 @@ double normal_deviate(rng& r) noexcept {
       return u * std::sqrt(-2.0 * std::log(s) / s);
     }
   }
+}
+
+namespace {
+
+/// Uniform double in (0, 1): never 0, so its log is finite.
+double open_uniform(rng& r) noexcept {
+  return (static_cast<double>(r() >> 11) + 0.5) * 0x1.0p-53;
+}
+
+/// The slow path of one ziggurat draw whose fast test failed: `x` is
+/// u * x[layer] for the word's u.  Returns the accepted magnitude, or -1
+/// when the draw is rejected and a fresh word is needed.
+[[gnu::noinline, gnu::cold]] double ziggurat_slow(rng& r, unsigned layer, double x) noexcept {
+  using namespace ziggurat;
+  if (layer == 0) {
+    // Tail beyond kR (Marsaglia 1964): accept kR + a when 2b > a^2, with a
+    // and b standard exponentials scaled by 1/kR and 1.
+    for (;;) {
+      const double a = -std::log(open_uniform(r)) / kR;
+      const double b = -std::log(open_uniform(r));
+      if (2.0 * b > a * a) return kR + a;
+    }
+  }
+  // Wedge: a uniform height inside the layer, accepted under the curve.
+  const double y = kF[layer] + (kF[layer + 1] - kF[layer]) * r.uniform();
+  return y < std::exp(-0.5 * x * x) ? x : -1.0;
+}
+
+}  // namespace
+
+void fill_normals(rng& r, std::span<double> out) noexcept {
+  using ziggurat::kX;
+  // Word layout: bits 0-7 pick the layer, bit 8 is the sign, bits 11-63
+  // are the uniform; disjoint bits, so the three are independent.  The fast
+  // path runs on a local copy of the engine, so its state stays in
+  // registers; the rare slow path syncs through `r`.
+  rng g = r;
+  for (double& dst : out) {
+    double mag = 0.0;
+    std::uint64_t w = 0;
+    for (;;) {
+      w = g();
+      const auto layer = static_cast<unsigned>(w & 0xff);
+      mag = static_cast<double>(static_cast<std::int64_t>(w >> 11)) * 0x1.0p-53 * kX[layer];
+      if (mag < kX[layer + 1]) break;
+      r = g;
+      mag = ziggurat_slow(r, layer, mag);
+      g = r;
+      if (mag >= 0.0) break;
+    }
+    dst = std::bit_cast<double>(std::bit_cast<std::uint64_t>(mag) | ((w & 0x100) << 55));
+  }
+  r = g;
 }
 
 double gamma_deviate(rng& r, double shape) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace reldiv::stats {
 
@@ -119,6 +120,14 @@ class rng {
 /// branch-free inverse-CDF approach in distributions.hpp for quality, and
 /// keep this Box-Muller-free ratio method local for hot sampling loops).
 [[nodiscard]] double normal_deviate(rng& r) noexcept;
+
+/// Fill `out` with independent standard normal deviates: a 256-layer
+/// ziggurat (Marsaglia & Tsang 2000) with exact tail and wedge rejection,
+/// tables in stats/ziggurat.hpp.  About 99% of deviates take the fast path,
+/// which costs one rng word and one table compare.  Exact in distribution,
+/// but a different stream from normal_deviate: the two do not consume the
+/// rng alike, and normal_deviate's output stays as it is.
+void fill_normals(rng& r, std::span<double> out) noexcept;
 
 /// Gamma(shape, 1) deviate via Marsaglia–Tsang; shape > 0.
 [[nodiscard]] double gamma_deviate(rng& r, double shape);

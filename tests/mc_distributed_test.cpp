@@ -76,6 +76,19 @@ TEST_F(DistributedTest, InitWritesManifestAndJsonMirror) {
   EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), threads, dir_));
 }
 
+TEST_F(DistributedTest, InitRefusesInfeasibleMixtureCells) {
+  // ρ·stress = 0.6·1.8 > 1 cannot preserve p ≤ 1/stress marginals: the
+  // worker's common_cause_mixture would throw on every such cell, so the
+  // run is refused before anything is written.
+  mc::scenario_axes axes = test_axes();
+  axes.correlations = {0.0, 0.6};
+  EXPECT_THROW((void)mc::init_run_dir(axes, test_config(), dir_), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(mc::manifest_path(dir_)));
+  // The copula model has no such constraint on the same ρ.
+  axes.rho_model = mc::correlation_model::copula;
+  EXPECT_NO_THROW((void)mc::init_run_dir(axes, test_config(), dir_));
+}
+
 TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {
   const auto axes = test_axes();
   const auto cfg = test_config();

@@ -283,6 +283,24 @@ TEST(SweepSpec, InfeasibleValuesArePositionedNotThrown) {
   EXPECT_TRUE(has_error(errors, 8, "axes"));
 }
 
+TEST(SweepSpec, InfeasibleMixtureCellsArePositionedOnTheRhoLine) {
+  // ρ·stress = 0.6·1.8 > 1 cannot preserve p = 0.1 marginals: every ρ = 0.6
+  // cell would make the worker's common_cause_mixture throw, so the spec is
+  // refused at parse, on the rho line, naming the universe and aliasing.
+  const std::string body =
+      "[universe u]\ngenerator = homogeneous\nfaults = 4\np = 0.1\nq = 0.1\n"
+      "[axes]\naliasing = 1 4\nrho = 0 0.6\nbudget = 10\n";
+  const auto errors = parse_errors("[sweep]\nkind = scenario\n" + body);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_TRUE(has_error(errors, 10, "rho"));
+  EXPECT_NE(errors.front().message.find("universe 'u' at aliasing 1"), std::string::npos)
+      << errors.front().render();
+  // A stress that keeps ρ·stress <= 1 makes the same axes feasible, and the
+  // copula model has no such constraint.
+  (void)parse_ok("[sweep]\nkind = scenario\nstress = 1.5\n" + body);
+  (void)parse_ok("[sweep]\nkind = scenario\nrho_model = copula\n" + body);
+}
+
 TEST(SweepSpec, MissingSweepSectionIsSingleError) {
   const auto errors = parse_errors("x = 1\n");
   EXPECT_TRUE(has_error(errors, 1, "x"));  // key before any [section]

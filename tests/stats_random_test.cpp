@@ -8,9 +8,13 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "stats/descriptive.hpp"
+#include "stats/distributions.hpp"
+#include "stats/gof_tests.hpp"
+#include "stats/ziggurat.hpp"
 
 namespace {
 
@@ -136,6 +140,72 @@ TEST(NormalDeviate, MomentsMatchStandardNormal) {
   EXPECT_NEAR(m.variance(), 1.0, 0.02);
   EXPECT_NEAR(m.skewness(), 0.0, 0.05);
   EXPECT_NEAR(m.excess_kurtosis(), 0.0, 0.1);
+}
+
+TEST(NormalDeviate, FirstOutputsArePinned) {
+  // normal_deviate feeds the copula sampler, the demand profiles and the
+  // universe generators, whose outputs are fingerprinted: its stream must
+  // not drift.  fill_normals is a separate generator and leaves it alone.
+  rng r(20010701);
+  const double pinned[] = {0x1.cab4be7e74963p-3,  -0x1.d033ada05d88fp+0, -0x1.7b0e96b44e0fep-4,
+                           -0x1.a4c3a685867d7p-1, -0x1.134a3382ecc7dp-1, -0x1.220056689e2d5p+0};
+  for (const double v : pinned) EXPECT_DOUBLE_EQ(reldiv::stats::normal_deviate(r), v);
+}
+
+TEST(Ziggurat, TablesCloseEveryLayerAtTheSameArea) {
+  namespace z = reldiv::stats::ziggurat;
+  EXPECT_EQ(z::kX[1], z::kR);
+  EXPECT_EQ(z::kX[z::kLayers], 0.0);
+  EXPECT_EQ(z::kF[z::kLayers], 1.0);
+  for (int i = 0; i <= z::kLayers; ++i) {
+    EXPECT_NEAR(z::kF[i], std::exp(-0.5 * z::kX[i] * z::kX[i]), 1e-15) << i;
+  }
+  // Base strip: rectangle to kR plus the tail, drawn with virtual width kX[0].
+  const double tail = std::sqrt(2.0 * std::acos(-1.0)) * (1.0 - reldiv::stats::normal_cdf(z::kR));
+  EXPECT_NEAR(z::kR * z::kF[1] + tail, z::kV, 1e-12);
+  EXPECT_NEAR(z::kX[0] * z::kF[1], z::kV, 1e-15);
+  for (int i = 1; i < z::kLayers; ++i) {
+    EXPECT_NEAR(z::kX[i] * (z::kF[i + 1] - z::kF[i]), z::kV, 1e-15) << i;
+  }
+}
+
+TEST(FillNormals, MatchesStandardNormal) {
+  constexpr std::size_t n = 1'000'000;
+  std::vector<double> x(n);
+  rng r(1406);
+  reldiv::stats::fill_normals(r, x);
+  reldiv::stats::running_moments m;
+  std::size_t positive = 0;
+  std::size_t tail = 0;
+  for (const double v : x) {
+    m.add(v);
+    if (v > 0.0) ++positive;
+    if (std::fabs(v) > reldiv::stats::ziggurat::kR) ++tail;
+  }
+  const auto gof = reldiv::stats::kolmogorov_smirnov(
+      x, [](double v) { return reldiv::stats::normal_cdf(v); });
+  EXPECT_GT(gof.p_value, 1e-3) << "D = " << gof.statistic;
+  const double sd = 1.0 / std::sqrt(static_cast<double>(n));
+  EXPECT_NEAR(m.mean(), 0.0, 5.0 * sd);
+  EXPECT_NEAR(m.variance(), 1.0, 5.0 * std::sqrt(2.0) * sd);
+  EXPECT_NEAR(static_cast<double>(positive) / n, 0.5, 2.5 * sd);
+  // The tail path is taken: P(|Z| > kR) = 2.58e-4, about 258 +- 16 draws.
+  const double p_tail = 2.0 * (1.0 - reldiv::stats::normal_cdf(reldiv::stats::ziggurat::kR));
+  EXPECT_NEAR(static_cast<double>(tail), p_tail * n, 5.0 * std::sqrt(p_tail * n));
+}
+
+TEST(FillNormals, BlockSplitDoesNotChangeTheStream) {
+  // No state is buffered across calls: one fill of 300 equals three of 100.
+  std::vector<double> whole(300);
+  std::vector<double> parts(300);
+  rng a(5);
+  rng b(5);
+  reldiv::stats::fill_normals(a, whole);
+  for (std::size_t i = 0; i < 3; ++i) {
+    reldiv::stats::fill_normals(b, std::span<double>(parts).subspan(100 * i, 100));
+  }
+  EXPECT_EQ(whole, parts);
+  EXPECT_EQ(a(), b());
 }
 
 TEST(GammaDeviate, MomentsMatchShape) {
