@@ -121,16 +121,6 @@ TEST(Plant, Validation) {
   plant::config bad2;
   bad2.volatility = 0.0;
   EXPECT_THROW(plant{bad2}, std::invalid_argument);
-  plant::config stuck;
-  stuck.volatility = 1e-9;
-  stuck.transient_rate = 0.0;
-  stuck.max_steps_per_demand = 100;
-  plant pl(stuck);
-  stats::rng r(6);
-  EXPECT_THROW((void)pl.next_demand(r), std::runtime_error);
-}
-
-TEST(Plant, RejectsNonFiniteAndOutOfRangeConfig) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   auto rejects = [](auto edit) {
@@ -147,6 +137,13 @@ TEST(Plant, RejectsNonFiniteAndOutOfRangeConfig) {
   rejects([&](plant::config& c) { c.trip_threshold = nan; });
   rejects([&](plant::config& c) { c.volatility = inf; });
   rejects([](plant::config& c) { c.max_steps_per_demand = 0; });
+  plant::config stuck;
+  stuck.volatility = 1e-9;
+  stuck.transient_rate = 0.0;
+  stuck.max_steps_per_demand = 100;
+  plant pl(stuck);
+  stats::rng r(6);
+  EXPECT_THROW((void)pl.next_demand(r), std::runtime_error);
 }
 
 TEST(Plant, RateZeroNeverKicks) {
