@@ -6,6 +6,8 @@
 // main returns exit_status(), which is nonzero after any MISMATCH, so a
 // reproduction gates its claims rather than only printing them.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,14 +37,30 @@ class table {
 
   void row(const std::vector<std::string>& cells) { rows_.push_back(cells); }
 
+  /// Each column is col_width wide, or its longest cell plus one space when
+  /// that is wider, so adjacent cells never run together.
   void print() const {
-    auto print_row = [this](const std::vector<std::string>& cells) {
+    const auto min_width = static_cast<std::size_t>(width_);
+    std::vector<std::size_t> widths(headers_.size(), min_width);
+    auto fit = [&](const std::vector<std::string>& cells) {
+      if (cells.size() > widths.size()) widths.resize(cells.size(), min_width);
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        widths[i] = std::max(widths[i], cells[i].size() + 1);
+      }
+    };
+    fit(headers_);
+    for (const auto& r : rows_) fit(r);
+    auto print_row = [&widths](const std::vector<std::string>& cells) {
       std::printf("  ");
-      for (const auto& c : cells) std::printf("%-*s", width_, c.c_str());
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        std::printf("%-*s", static_cast<int>(widths[i]), cells[i].c_str());
+      }
       std::printf("\n");
     };
     print_row(headers_);
-    std::printf("  %s\n", std::string(headers_.size() * width_, '-').c_str());
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < headers_.size(); ++i) total += widths[i];
+    std::printf("  %s\n", std::string(total, '-').c_str());
     for (const auto& r : rows_) print_row(r);
   }
 

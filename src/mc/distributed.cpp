@@ -1,7 +1,6 @@
 #include "mc/distributed.hpp"
 
 #include "mc/io_env.hpp"
-#include "mc/spec.hpp"
 #include "stats/wire.hpp"
 
 #include <fcntl.h>
@@ -23,7 +22,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 extern char** environ;
 
@@ -237,90 +238,54 @@ struct job_driver {
 };
 
 job_driver make_job_driver(const fs::path& run_dir) {
-  const std::string blob = read_file(manifest_path(run_dir));
-  job_driver d;
-  d.kind = manifest_job_kind(peek_state_kind(blob));
+  const auto run = std::make_shared<const run_handle>(run_handle::open(run_dir));
+  job_driver d{run->kind(), run->fingerprint(), run->cell_count(), {}};
   switch (d.kind) {
     case job_kind::scenario_grid: {
-      auto m = std::make_shared<const sweep_manifest>(decode_manifest(blob));
-      auto cells =
-          std::make_shared<const std::vector<scenario_cell>>(enumerate_cells(m->axes));
-      d.fingerprint = manifest_fingerprint(*m);
-      d.cell_count = m->cell_count;
-      d.compute = [m, cells, fp = d.fingerprint](std::uint64_t index) {
+      auto cells = std::make_shared<const std::vector<scenario_cell>>(
+          enumerate_cells(run->grid_manifest().axes));
+      d.compute = [run, cells](std::uint64_t index) {
+        const sweep_manifest& m = run->grid_manifest();
         cell_state state;
-        state.fingerprint = fp;
+        state.fingerprint = run->fingerprint();
         state.cell_index = index;
-        state.result = run_scenario_cell(m->axes, m->config(), (*cells)[index], index);
+        state.result = run_scenario_cell(m.axes, m.config(), (*cells)[index], index);
         return encode_cell_state(state);
       };
       break;
     }
-    case job_kind::demand_campaign: {
-      auto m = std::make_shared<const demand_manifest>(decode_demand_manifest(blob));
-      d.fingerprint = demand_manifest_fingerprint(*m);
-      d.cell_count = m->window_count();
-      d.compute = [m, fp = d.fingerprint](std::uint64_t index) {
+    case job_kind::demand_campaign:
+      d.compute = [run](std::uint64_t index) {
         demand_window_state state;
-        state.fingerprint = fp;
+        state.fingerprint = run->fingerprint();
         state.window_index = index;
-        state.result = run_demand_window(*m, index);
+        state.result = run_demand_window(run->demand_campaign_manifest(), index);
         return encode_demand_window_state(state);
       };
       break;
-    }
-    case job_kind::experiment_shards: {
-      auto m =
-          std::make_shared<const experiment_manifest>(decode_experiment_manifest(blob));
-      d.fingerprint = experiment_manifest_fingerprint(*m);
-      d.cell_count = m->window_count();
-      d.compute = [m, fp = d.fingerprint](std::uint64_t index) {
+    case job_kind::experiment_shards:
+      d.compute = [run](std::uint64_t index) {
         experiment_window_state state;
-        state.fingerprint = fp;
+        state.fingerprint = run->fingerprint();
         state.window_index = index;
-        state.result = run_experiment_window(*m, index);
+        state.result = run_experiment_window(run->experiment_shards_manifest(), index);
         return encode_experiment_window_state(state);
       };
       break;
-    }
   }
   return d;
 }
 
-/// Shared init path: create the directory skeleton, then either adopt an
-/// existing manifest (same kind + fingerprint, else refuse) or write the new
-/// one with its JSON mirror.
-void init_run_dir_files(const fs::path& run_dir, state_kind manifest_kind,
-                        std::uint64_t fingerprint, const std::string& manifest_blob,
-                        const std::string& json_mirror) {
-  std::error_code ec;
-  fs::create_directories(cells_dir(run_dir), ec);
-  if (ec) {
-    throw run_dir_error("run_dir: cannot create " + cells_dir(run_dir).string() + ": " +
-                        ec.message());
-  }
-
-  const fs::path mpath = manifest_path(run_dir);
-  const fs::path jpath = run_dir / "manifest.json";
-  if (fs::exists(mpath)) {
-    // Resume: the directory must belong to this exact run.
-    const std::string existing = read_file(mpath);
-    if (peek_state_kind(existing) != manifest_kind ||
-        stats::fnv1a64(decode_state_blob(manifest_kind, existing)) != fingerprint) {
-      throw run_dir_error("run_dir: " + run_dir.string() +
-                          " holds a different run (manifest kind or fingerprint "
-                          "mismatch); refusing to mix runs");
-    }
-    // Heal the human-readable mirror if a crash landed between the two
-    // writes (the binary manifest is the one that matters for correctness).
-    if (!fs::exists(jpath)) write_file_atomic(jpath, json_mirror);
-    return;
-  }
-  // Mirror first: once the authoritative manifest exists the directory is
-  // live, and the mirror must already be in place for any later artifact
-  // upload or operator inspection.
-  write_file_atomic(jpath, json_mirror);
-  write_file_atomic(mpath, manifest_blob);
+std::uint64_t cell_count_of(const manifest_variant& m) {
+  return std::visit(
+      [](const auto& x) -> std::uint64_t {
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, sweep_manifest>) {
+          return x.cell_count;
+        } else {
+          return x.window_count();
+        }
+      },
+      m);
 }
 
 }  // namespace
@@ -329,35 +294,67 @@ void init_run_dir_files(const fs::path& run_dir, state_kind manifest_kind,
 // run_handle — the job-kind-polymorphic facade
 // ---------------------------------------------------------------------------
 
+run_handle::run_handle(fs::path dir, manifest_variant m)
+    : dir_(std::move(dir)),
+      kind_(manifest_job_kind(m)),
+      fingerprint_(manifest_fingerprint(m)),
+      cell_count_(cell_count_of(m)),
+      manifest_(std::move(m)) {}
+
+/// Create the directory skeleton, then either adopt an existing manifest
+/// (same kind + fingerprint, else refuse) or write the new one with its JSON
+/// mirror.
+void run_handle::write_or_adopt(const std::string& manifest_blob) const {
+  std::error_code ec;
+  fs::create_directories(cells_dir(dir_), ec);
+  if (ec) {
+    throw run_dir_error("run_dir: cannot create " + cells_dir(dir_).string() + ": " +
+                        ec.message());
+  }
+
+  const state_kind manifest_kind = manifest_kind_of(kind_);
+  const fs::path mpath = manifest_path(dir_);
+  const fs::path jpath = dir_ / "manifest.json";
+  if (fs::exists(mpath)) {
+    // Resume: the directory must belong to this exact run.
+    const std::string existing = read_file(mpath);
+    if (peek_state_kind(existing) != manifest_kind ||
+        stats::fnv1a64(decode_state_blob(manifest_kind, existing)) != fingerprint_) {
+      throw run_dir_error("run_dir: " + dir_.string() +
+                          " holds a different run (manifest kind or fingerprint "
+                          "mismatch); refusing to mix runs");
+    }
+    // Heal the human-readable mirror if a crash landed between the two
+    // writes (the binary manifest is the one that matters for correctness).
+    if (!fs::exists(jpath)) write_file_atomic(jpath, manifest_to_json(manifest_));
+    return;
+  }
+  // Mirror first: once the authoritative manifest exists the directory is
+  // live, and the mirror must already be in place for any later artifact
+  // upload or operator inspection.
+  write_file_atomic(jpath, manifest_to_json(manifest_));
+  write_file_atomic(mpath, manifest_blob);
+}
+
 run_handle run_handle::open(const fs::path& run_dir) {
   const std::string blob = read_file(manifest_path(run_dir));
-  run_handle h;
-  h.dir_ = run_dir;
-  h.kind_ = manifest_job_kind(peek_state_kind(blob));
-  switch (h.kind_) {
-    case job_kind::scenario_grid: {
-      sweep_manifest m = decode_manifest(blob);
-      h.fingerprint_ = manifest_fingerprint(m);
-      h.cell_count_ = m.cell_count;
-      h.manifest_ = std::move(m);
-      break;
-    }
-    case job_kind::demand_campaign: {
-      demand_manifest m = decode_demand_manifest(blob);
-      h.fingerprint_ = demand_manifest_fingerprint(m);
-      h.cell_count_ = m.window_count();
-      h.manifest_ = std::move(m);
-      break;
-    }
-    case job_kind::experiment_shards: {
-      experiment_manifest m = decode_experiment_manifest(blob);
-      h.fingerprint_ = experiment_manifest_fingerprint(m);
-      h.cell_count_ = m.window_count();
-      h.manifest_ = std::move(m);
-      break;
-    }
+  switch (manifest_job_kind(peek_state_kind(blob))) {
+    case job_kind::scenario_grid:
+      return run_handle(run_dir, decode_manifest(blob));
+    case job_kind::demand_campaign:
+      return run_handle(run_dir, decode_demand_manifest(blob));
+    case job_kind::experiment_shards:
+      return run_handle(run_dir, decode_experiment_manifest(blob));
   }
-  return h;
+  throw run_dir_error("run_dir: unknown job kind");
+}
+
+run_handle run_handle::init(const manifest_variant& m, const fs::path& run_dir) {
+  if (const auto* s = std::get_if<sweep_manifest>(&m)) {
+    return init(s->axes, s->config(), run_dir);
+  }
+  if (const auto* d = std::get_if<demand_manifest>(&m)) return init(*d, run_dir);
+  return init(std::get<experiment_manifest>(m), run_dir);
 }
 
 run_handle run_handle::init(const scenario_axes& axes, const scenario_config& cfg,
@@ -368,43 +365,23 @@ run_handle run_handle::init(const scenario_axes& axes, const scenario_config& cf
   m.shards = cfg.shards;
   m.cell_count = enumerate_cells(axes).size();
   check_mixture_feasible(axes);
-  const std::uint64_t fingerprint = manifest_fingerprint(m);
-  init_run_dir_files(run_dir, state_kind::manifest, fingerprint, encode_manifest(m),
-                     manifest_json(m));
-  run_handle h;
-  h.dir_ = run_dir;
-  h.kind_ = job_kind::scenario_grid;
-  h.fingerprint_ = fingerprint;
-  h.cell_count_ = m.cell_count;
-  h.manifest_ = std::move(m);
+  const std::string blob = encode_manifest(m);
+  run_handle h(run_dir, std::move(m));
+  h.write_or_adopt(blob);
   return h;
 }
 
 run_handle run_handle::init(const demand_manifest& m, const fs::path& run_dir) {
   m.validate();
-  const std::uint64_t fingerprint = demand_manifest_fingerprint(m);
-  init_run_dir_files(run_dir, state_kind::demand_manifest, fingerprint,
-                     encode_demand_manifest(m), demand_manifest_json(m));
-  run_handle h;
-  h.dir_ = run_dir;
-  h.kind_ = job_kind::demand_campaign;
-  h.fingerprint_ = fingerprint;
-  h.cell_count_ = m.window_count();
-  h.manifest_ = m;
+  run_handle h(run_dir, m);
+  h.write_or_adopt(encode_demand_manifest(m));
   return h;
 }
 
 run_handle run_handle::init(const experiment_manifest& m, const fs::path& run_dir) {
   m.validate();
-  const std::uint64_t fingerprint = experiment_manifest_fingerprint(m);
-  init_run_dir_files(run_dir, state_kind::experiment_manifest, fingerprint,
-                     encode_experiment_manifest(m), experiment_manifest_json(m));
-  run_handle h;
-  h.dir_ = run_dir;
-  h.kind_ = job_kind::experiment_shards;
-  h.fingerprint_ = fingerprint;
-  h.cell_count_ = m.window_count();
-  h.manifest_ = m;
+  run_handle h(run_dir, m);
+  h.write_or_adopt(encode_experiment_manifest(m));
   return h;
 }
 
@@ -432,39 +409,6 @@ const demand_manifest& run_handle::demand_campaign_manifest() const {
 const experiment_manifest& run_handle::experiment_shards_manifest() const {
   if (const auto* m = std::get_if<experiment_manifest>(&manifest_)) return *m;
   throw_kind_mismatch(dir_, kind_, job_kind::experiment_shards);
-}
-
-sweep_manifest init_run_dir(const scenario_axes& axes, const scenario_config& cfg,
-                            const fs::path& run_dir) {
-  return run_handle::init(axes, cfg, run_dir).grid_manifest();
-}
-
-demand_manifest init_demand_run_dir(const demand_manifest& m, const fs::path& run_dir) {
-  return run_handle::init(m, run_dir).demand_campaign_manifest();
-}
-
-experiment_manifest init_experiment_run_dir(const experiment_manifest& m,
-                                            const fs::path& run_dir) {
-  return run_handle::init(m, run_dir).experiment_shards_manifest();
-}
-
-job_kind load_run_kind(const fs::path& run_dir) {
-  // Deliberately NOT run_handle::open: dispatch-only callers (the worker
-  // loop chooses a decoder; merge-only chooses an output table) should not
-  // pay a full manifest decode — a large axes payload — to learn one enum.
-  return manifest_job_kind(peek_state_kind(read_file(manifest_path(run_dir))));
-}
-
-sweep_manifest load_run_manifest(const fs::path& run_dir) {
-  return run_handle::open(run_dir).grid_manifest();
-}
-
-demand_manifest load_demand_manifest(const fs::path& run_dir) {
-  return run_handle::open(run_dir).demand_campaign_manifest();
-}
-
-experiment_manifest load_experiment_manifest(const fs::path& run_dir) {
-  return run_handle::open(run_dir).experiment_shards_manifest();
 }
 
 claim_sweep_report clean_stale_claims(const fs::path& run_dir, std::chrono::seconds ttl) {
@@ -767,7 +711,7 @@ std::vector<int> spawn_processes(const std::string& exe,
 std::vector<int> spawn_sweep_workers(const std::string& worker_exe, const fs::path& run_dir,
                                      unsigned workers, std::size_t max_cells,
                                      const std::vector<std::string>& extra_args) {
-  std::vector<std::string> args = {worker_exe, "--worker", "--run-dir", run_dir.string()};
+  std::vector<std::string> args = {worker_exe, "worker", "--run-dir", run_dir.string()};
   if (max_cells > 0) {
     args.emplace_back("--max-cells");
     args.emplace_back(std::to_string(max_cells));
@@ -825,10 +769,6 @@ std::string quarantine_summary(const fs::path& run_dir) {
   }
   throw run_dir_error(std::move(message));
 }
-
-}  // namespace
-
-namespace {
 
 /// The three per-kind merge bodies, taking the already-validated manifest so
 /// run_handle::merge never re-reads it from disk.
@@ -952,58 +892,29 @@ run_handle::result_variant run_handle::merge() const {
   throw run_dir_error("run_dir: unknown job kind");
 }
 
-merged_tables run_handle::merge_tables() const {
-  merged_tables out;
-  switch (kind_) {
-    case job_kind::scenario_grid: {
-      const grid_result grid = merge_grid_cells(dir_, std::get<sweep_manifest>(manifest_));
-      out.csv = grid.to_csv();
-      out.json = grid.to_json();
-      out.cells = grid.cells.size();
-      break;
-    }
-    case job_kind::demand_campaign: {
-      const auto& m = std::get<demand_manifest>(manifest_);
-      const demand_tally tally = merge_demand_windows(dir_, m);
-      out.csv = demand_tally_csv(m, tally);
-      out.json = demand_tally_json(tally);
-      out.cells = m.window_count();
-      break;
-    }
-    case job_kind::experiment_shards: {
-      const auto& m = std::get<experiment_manifest>(manifest_);
-      const experiment_result result = merge_experiment_windows(dir_, m);
-      out.csv = experiment_result_csv(result);
-      out.json = experiment_result_json(result);
-      out.cells = m.window_count();
-      break;
-    }
-  }
-  return out;
-}
+merged_tables run_handle::merge_tables() const { return render_tables(manifest_, merge()); }
 
-std::string run_handle::describe() const { return describe_manifest_json(manifest_); }
-
-grid_result merge_run_dir(const fs::path& run_dir) {
-  const run_handle h = run_handle::open(run_dir);
-  return merge_grid_cells(run_dir, h.grid_manifest());
-}
-
-demand_tally merge_demand_run_dir(const fs::path& run_dir) {
-  const run_handle h = run_handle::open(run_dir);
-  return merge_demand_windows(run_dir, h.demand_campaign_manifest());
-}
-
-experiment_result merge_experiment_run_dir(const fs::path& run_dir) {
-  const run_handle h = run_handle::open(run_dir);
-  return merge_experiment_windows(run_dir, h.experiment_shards_manifest());
-}
+std::string run_handle::describe() const { return manifest_to_json(manifest_); }
 
 // ---------------------------------------------------------------------------
 // Deterministic result tables (moved here from the reldiv_sweep CLI so the
 // oracle, the distributed merge and the result cache all render through the
 // exact same bytes)
 // ---------------------------------------------------------------------------
+
+merged_tables render_tables(const manifest_variant& m,
+                            const run_handle::result_variant& result) {
+  if (const auto* grid = std::get_if<grid_result>(&result)) {
+    return {grid->to_csv(), grid->to_json(), grid->cells.size()};
+  }
+  if (const auto* tally = std::get_if<demand_tally>(&result)) {
+    const auto& d = std::get<demand_manifest>(m);
+    return {demand_tally_csv(d, *tally), demand_tally_json(*tally), d.window_count()};
+  }
+  const auto& r = std::get<experiment_result>(result);
+  return {experiment_result_csv(r), experiment_result_json(r),
+          std::get<experiment_manifest>(m).window_count()};
+}
 
 std::string demand_tally_csv(const demand_manifest& m, const demand_tally& t) {
   std::string out = "target,pfd,failures,rate\n";
@@ -1069,67 +980,42 @@ std::string experiment_result_json(const experiment_result& r) {
   return out;
 }
 
-namespace {
+claim_sweep_report drive_pending_cells(const run_handle& run, const distributed_config& cfg,
+                                       const std::string& worker_exe) {
+  const claim_sweep_report sweep = clean_stale_claims(run.dir());
 
-/// The kind-agnostic middle of every coordinator: clean stale claims, fan
-/// pending cells out to worker processes, and demand completeness.  The
-/// incomplete-run error names every quarantined cell, so a chaos run that
-/// degraded gracefully is distinguishable from one that simply ran out of
-/// quota.
-void drive_pending_cells(const distributed_config& dist, const std::string& worker_exe) {
-  clean_stale_claims(dist.run_dir);
-
-  const std::vector<std::uint64_t> pending = missing_cells(dist.run_dir);
-  if (pending.empty()) return;
-  if (dist.workers == 0) {
+  const std::vector<std::uint64_t> pending = missing_cells(run.dir());
+  if (pending.empty()) return sweep;
+  if (cfg.workers == 0) {
     throw run_dir_error("run_dir: no workers requested but " +
                         std::to_string(pending.size()) + " cells are pending");
   }
   // No point spawning more processes than there are pending cells.
   const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(dist.workers, pending.size()));
+      static_cast<unsigned>(std::min<std::size_t>(cfg.workers, pending.size()));
   std::vector<std::string> extra_args;
-  if (!dist.worker_fault_plan.empty()) {
-    extra_args = {"--fault-plan", dist.worker_fault_plan};
+  if (!cfg.worker_fault_plan.empty()) {
+    extra_args = {"--fault-plan", cfg.worker_fault_plan};
   }
-  const std::vector<int> pids = spawn_sweep_workers(worker_exe, dist.run_dir, workers,
-                                                    dist.max_cells, extra_args);
+  const std::vector<int> pids =
+      spawn_sweep_workers(worker_exe, run.dir(), workers, cfg.max_cells, extra_args);
   const std::vector<int> codes = wait_sweep_workers(pids);
 
-  const std::vector<std::uint64_t> still_missing = missing_cells(dist.run_dir);
+  const std::vector<std::uint64_t> still_missing = missing_cells(run.dir());
   if (!still_missing.empty()) {
     std::string detail = "worker exit codes:";
     for (const int c : codes) detail += ' ' + std::to_string(c);
     throw run_dir_error("run_dir: " + std::to_string(still_missing.size()) +
                         " cells still pending after workers finished (" + detail +
-                        "); rerun to resume" + quarantine_summary(dist.run_dir));
+                        "); rerun to resume" + quarantine_summary(run.dir()));
   }
+  return sweep;
 }
 
-}  // namespace
-
-grid_result run_distributed_grid(const scenario_axes& axes, const scenario_config& cfg,
-                                 const distributed_config& dist,
-                                 const std::string& worker_exe) {
-  init_run_dir(axes, cfg, dist.run_dir);
-  drive_pending_cells(dist, worker_exe);
-  return merge_run_dir(dist.run_dir);
-}
-
-demand_tally run_distributed_demand(const demand_manifest& m,
-                                    const distributed_config& dist,
-                                    const std::string& worker_exe) {
-  init_demand_run_dir(m, dist.run_dir);
-  drive_pending_cells(dist, worker_exe);
-  return merge_demand_run_dir(dist.run_dir);
-}
-
-experiment_result run_distributed_experiment(const experiment_manifest& m,
-                                             const distributed_config& dist,
-                                             const std::string& worker_exe) {
-  init_experiment_run_dir(m, dist.run_dir);
-  drive_pending_cells(dist, worker_exe);
-  return merge_experiment_run_dir(dist.run_dir);
+merged_tables run_distributed(const run_handle& run, const distributed_config& cfg,
+                              const std::string& worker_exe) {
+  (void)drive_pending_cells(run, cfg, worker_exe);
+  return run.merge_tables();
 }
 
 }  // namespace reldiv::mc

@@ -11,13 +11,13 @@
 //
 // Execution model (identical for every kind):
 //
-//   coordinator                    worker processes (reldiv_sweep --worker)
-//   -----------                    -------------------------------------
-//   init_*_run_dir(manifest, dir)  load manifest, dispatch on its kind
+//   coordinator (run_distributed)  worker processes (reldiv_sweep worker)
+//   -----------------------------  -------------------------------------
+//   run_handle::init(manifest, dir) load manifest, dispatch on its kind
 //   clean_stale_claims(dir)        for each cell index in manifest order:
 //   spawn N workers ------------->   skip if a valid state file exists
 //   waitpid all                      claim via rename-based lease file
-//   merge_*_run_dir(dir)             compute the pure cell function
+//   run_handle::merge_tables()       compute the pure cell function
 //                                    write state file atomically
 //                                    remove the claim
 //
@@ -95,31 +95,31 @@ struct merged_tables {
   std::size_t cells = 0;
 };
 
-/// One run directory, whatever its job kind.  Three job kinds accreted six
-/// per-kind free functions (init_/load_/merge_ × scenario/demand/experiment);
-/// this facade replaces that sprawl with one object that dispatches on the
-/// manifest's kind:
+/// One run directory, whatever its job kind — the only API for creating,
+/// opening and merging one.  Every call dispatches on the manifest's kind:
 ///
+///   auto h = run_handle::init(spec.manifest, dir);  // create or resume
 ///   auto h = run_handle::open(dir);       // kind read from manifest.state
 ///   auto result = h.merge();              // variant over the three results
 ///   auto tables = h.merge_tables();       // rendered CSV/JSON, any kind
 ///
 /// open() fully validates the manifest (container integrity + typed decode),
 /// so a run_handle in hand means the directory's identity — kind,
-/// fingerprint, cell count — is trustworthy.  The per-kind free functions
-/// below survive as thin wrappers over this class.
+/// fingerprint, cell count — is trustworthy.
 class run_handle {
  public:
-  using manifest_variant =
-      std::variant<sweep_manifest, demand_manifest, experiment_manifest>;
   using result_variant = std::variant<grid_result, demand_tally, experiment_result>;
 
   /// Open an existing run directory, dispatching on its manifest's kind.
   [[nodiscard]] static run_handle open(const std::filesystem::path& run_dir);
 
   /// Create (or resume — same kind + fingerprint, else run_dir_error) a run
-  /// directory for each job kind.  The demand/experiment manifests must
-  /// validate().
+  /// directory: make `<run_dir>/cells/`, then write manifest.json and the
+  /// binary manifest atomically.  The demand/experiment manifests must
+  /// validate(); infeasible scenario axes throw std::invalid_argument before
+  /// anything is written.  The variant overload dispatches to the typed ones.
+  [[nodiscard]] static run_handle init(const manifest_variant& m,
+                                       const std::filesystem::path& run_dir);
   [[nodiscard]] static run_handle init(const scenario_axes& axes,
                                        const scenario_config& cfg,
                                        const std::filesystem::path& run_dir);
@@ -140,20 +140,29 @@ class run_handle {
   [[nodiscard]] const experiment_manifest& experiment_shards_manifest() const;
 
   /// Assemble the completed directory into the exact single-process result
-  /// for its kind (see the per-kind merge contracts below).  Throws
-  /// run_dir_error if any cell is missing or invalid.
+  /// for its kind.  Throws run_dir_error if any cell is missing or invalid.
+  ///   * scenario grid: every cell state file in ascending index order,
+  ///     validated against the manifest (fingerprint, index, coordinates);
+  ///   * demand campaign: window slices placed (integer counts — placement
+  ///     IS the merge) in ascending window order after bounds validation;
+  ///   * experiment shards: every window's per-shard accumulator states
+  ///     folded — empty accumulator first, then ascending shard order —
+  ///     replaying run_experiment's left fold bit-for-bit.
   [[nodiscard]] result_variant merge() const;
 
-  /// merge() rendered as the deterministic CSV/JSON tables for its kind —
-  /// byte-identical to what the single-process oracle path emits.
+  /// merge() rendered by render_tables — byte-identical to what the
+  /// single-process oracle path emits.
   [[nodiscard]] merged_tables merge_tables() const;
 
-  /// The run's spec/axes as %.17g-clean JSON (mc::describe_manifest_json):
-  /// kind, fingerprint, seed, every axis, and atom-for-atom universes.
+  /// The run's spec/axes as %.17g-clean JSON (mc::manifest_to_json, the
+  /// same text as the directory's manifest.json): kind, fingerprint, seed,
+  /// every axis, and atom-for-atom universes.
   [[nodiscard]] std::string describe() const;
 
  private:
-  run_handle() = default;
+  run_handle(std::filesystem::path dir, manifest_variant m);
+  /// Write this run's manifest files, or adopt the ones already there.
+  void write_or_adopt(const std::string& manifest_blob) const;
 
   std::filesystem::path dir_;
   job_kind kind_ = job_kind::scenario_grid;
@@ -168,44 +177,15 @@ class run_handle {
 // grid_result carries its own to_csv()/to_json())
 // ---------------------------------------------------------------------------
 
+/// A result of the manifest's kind rendered as that kind's tables.
+[[nodiscard]] merged_tables render_tables(const manifest_variant& m,
+                                          const run_handle::result_variant& result);
+
 [[nodiscard]] std::string demand_tally_csv(const demand_manifest& m,
                                            const demand_tally& t);
 [[nodiscard]] std::string demand_tally_json(const demand_tally& t);
 [[nodiscard]] std::string experiment_result_csv(const experiment_result& r);
 [[nodiscard]] std::string experiment_result_json(const experiment_result& r);
-
-/// Create (or re-open) a run directory for the given scenario sweep: make
-/// `<run_dir>/cells/`, write the binary manifest and its JSON mirror
-/// atomically.  Re-opening an existing directory is the resume path — the
-/// existing manifest must carry the same kind and fingerprint, otherwise the
-/// directory belongs to a different run and run_dir_error is thrown.
-/// Thin wrapper over run_handle::init (kept for the PR 4/5 call sites).
-sweep_manifest init_run_dir(const scenario_axes& axes, const scenario_config& cfg,
-                            const std::filesystem::path& run_dir);
-
-/// Demand-campaign sibling of init_run_dir: `m` must validate().  Thin
-/// wrapper over run_handle::init.
-demand_manifest init_demand_run_dir(const demand_manifest& m,
-                                    const std::filesystem::path& run_dir);
-
-/// Experiment shard-window sibling of init_run_dir: `m` must validate()
-/// (build it with make_experiment_manifest).  Thin wrapper over
-/// run_handle::init.
-experiment_manifest init_experiment_run_dir(const experiment_manifest& m,
-                                            const std::filesystem::path& run_dir);
-
-/// Which job kind an existing run directory holds (from its manifest's
-/// container kind, after full integrity validation).  Cheaper than
-/// run_handle::open — it peeks the container header without the typed
-/// manifest decode — so dispatch-only call sites keep it.
-[[nodiscard]] job_kind load_run_kind(const std::filesystem::path& run_dir);
-
-/// Load and validate the manifest of an existing run directory of the
-/// matching kind.
-[[nodiscard]] sweep_manifest load_run_manifest(const std::filesystem::path& run_dir);
-[[nodiscard]] demand_manifest load_demand_manifest(const std::filesystem::path& run_dir);
-[[nodiscard]] experiment_manifest load_experiment_manifest(
-    const std::filesystem::path& run_dir);
 
 /// Default claim lease: a claim (or orphaned .tmp file) whose owner cannot
 /// be probed — another host's worker — is only reaped after this long
@@ -366,7 +346,7 @@ struct claim_owner {
                                                const std::vector<std::string>& args,
                                                unsigned count);
 
-/// Spawn `workers` copies of `worker_exe --worker --run-dir <run_dir>`
+/// Spawn `workers` copies of `worker_exe worker --run-dir <run_dir>`
 /// (plus `--max-cells N` when max_cells > 0, plus `extra_args` verbatim —
 /// the chaos harness passes `--fault-plan <recipe>` this way) as detached
 /// OS processes.  Returns their pids.  Thin wrapper over spawn_processes.
@@ -379,31 +359,7 @@ struct claim_owner {
 /// worker).
 [[nodiscard]] std::vector<int> wait_sweep_workers(const std::vector<int>& pids);
 
-/// Assemble a completed scenario run directory into the exact single-process
-/// grid_result: read every cell state file in ascending index order,
-/// validate it against the manifest (fingerprint, index, cell coordinates),
-/// and append.  Throws run_dir_error if any cell is missing or invalid — or
-/// if the directory holds another job kind.  Thin wrapper over
-/// run_handle::open(run_dir).merge().
-[[nodiscard]] grid_result merge_run_dir(const std::filesystem::path& run_dir);
-
-/// Assemble a completed demand run directory into the exact
-/// run_demand_campaign tally: window slices are placed (integer counts —
-/// placement IS the merge) in ascending window order after fingerprint and
-/// bounds validation.  Thin wrapper over run_handle, same kind-mismatch
-/// contract as merge_run_dir.
-[[nodiscard]] demand_tally merge_demand_run_dir(const std::filesystem::path& run_dir);
-
-/// Assemble a completed experiment run directory into the exact
-/// run_experiment result: every window's per-shard accumulator states are
-/// folded — empty accumulator first, then ascending shard order — replaying
-/// run_experiment's left fold bit-for-bit.  Thin wrapper over run_handle,
-/// same kind-mismatch contract as merge_run_dir.
-[[nodiscard]] experiment_result merge_experiment_run_dir(
-    const std::filesystem::path& run_dir);
-
 struct distributed_config {
-  std::filesystem::path run_dir;
   unsigned workers = 2;         ///< worker processes to spawn
   std::size_t max_cells = 0;    ///< per-worker cell quota (0 = unlimited)
   /// When non-empty, passed to each worker as `--fault-plan <recipe>`
@@ -413,27 +369,20 @@ struct distributed_config {
   std::string worker_fault_plan{};
 };
 
-/// The full coordinator: init (or resume) the run directory, clean stale
-/// claims, fan the pending cells out to `cfg.workers` fresh processes of
-/// `worker_exe`, wait for them, and merge.  Throws run_dir_error when
-/// workers exit abnormally while cells are still missing, when any cell
-/// was quarantined (the message lists the ledger), or when the directory
-/// is incomplete after the workers finish (e.g. a max_cells quota) — rerun
-/// to resume.
-[[nodiscard]] grid_result run_distributed_grid(const scenario_axes& axes,
-                                               const scenario_config& cfg,
-                                               const distributed_config& dist,
-                                               const std::string& worker_exe);
+/// The kind-agnostic middle of every coordinator: clean stale claims, fan
+/// the run's pending cells out to `cfg.workers` fresh processes of
+/// `worker_exe`, and wait for them.  Returns the claim sweep it made, so a
+/// caller can report recovery.  Throws run_dir_error when cells are still
+/// missing afterwards — workers that exited abnormally, a max_cells quota,
+/// or quarantined cells (the message lists the ledger); rerun to resume.
+claim_sweep_report drive_pending_cells(const run_handle& run,
+                                       const distributed_config& cfg,
+                                       const std::string& worker_exe);
 
-/// Demand-campaign coordinator, same contract as run_distributed_grid.
-[[nodiscard]] demand_tally run_distributed_demand(const demand_manifest& m,
-                                                  const distributed_config& dist,
-                                                  const std::string& worker_exe);
-
-/// Experiment shard-window coordinator, same contract as
-/// run_distributed_grid.
-[[nodiscard]] experiment_result run_distributed_experiment(
-    const experiment_manifest& m, const distributed_config& dist,
-    const std::string& worker_exe);
+/// The full coordinator over a run directory made by run_handle::init:
+/// drive_pending_cells, then merge_tables.
+[[nodiscard]] merged_tables run_distributed(const run_handle& run,
+                                            const distributed_config& cfg,
+                                            const std::string& worker_exe);
 
 }  // namespace reldiv::mc

@@ -263,13 +263,17 @@ auto decode_payload(state_kind kind, std::string_view blob, Fn&& read) {
   }
 }
 
+void append_json_f64(std::string& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out += buf;
+}
+
 void append_json_f64_array(std::string& out, const std::vector<double>& v) {
   out += '[';
-  char buf[64];
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i > 0) out += ',';
-    std::snprintf(buf, sizeof(buf), "%.17g", v[i]);
-    out += buf;
+    append_json_f64(out, v[i]);
   }
   out += ']';
 }
@@ -280,6 +284,20 @@ void append_json_u64_array(std::string& out, const std::vector<T>& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i > 0) out += ',';
     out += std::to_string(static_cast<std::uint64_t>(v[i]));
+  }
+  out += ']';
+}
+
+void append_json_atoms(std::string& out, const core::fault_universe& u) {
+  out += '[';
+  const auto atoms = u.atoms();
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    if (i > 0) out += ',';
+    out += "{\"p\":";
+    append_json_f64(out, atoms[i].p);
+    out += ",\"q\":";
+    append_json_f64(out, atoms[i].q);
+    out += '}';
   }
   out += ']';
 }
@@ -593,49 +611,6 @@ std::uint64_t manifest_fingerprint(const sweep_manifest& m) {
   return stats::fnv1a64(w.buffer());
 }
 
-std::string manifest_json(const sweep_manifest& m) {
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"shards\": " + std::to_string(m.shards);
-  out += ",\n  \"cell_count\": " + std::to_string(m.cell_count);
-  out += ",\n  \"fingerprint\": " + std::to_string(manifest_fingerprint(m));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", m.axes.stress);
-  out += ",\n  \"stress\": ";
-  out += buf;
-  out += ",\n  \"universes\": [";
-  for (std::size_t u = 0; u < m.axes.universes.size(); ++u) {
-    if (u > 0) out += ',';
-    out += "{\"name\":\"" + m.axes.universes[u].first +
-           "\",\"faults\":" + std::to_string(m.axes.universes[u].second.size()) + "}";
-  }
-  out += "]";
-  out += ",\n  \"correlations\": ";
-  append_json_f64_array(out, m.axes.correlations);
-  out += ",\n  \"overlaps\": ";
-  append_json_f64_array(out, m.axes.overlaps);
-  out += ",\n  \"aliasing\": ";
-  append_json_u64_array(out, m.axes.aliasing);
-  out += ",\n  \"rho_model\": \"";
-  out += m.axes.rho_model == correlation_model::copula ? "copula" : "mixture";
-  out += '"';
-  out += ",\n  \"adjudications\": [";
-  for (std::size_t i = 0; i < m.axes.adjudications.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"versions\":" + std::to_string(m.axes.adjudications[i].versions) +
-           ",\"votes\":" + std::to_string(m.axes.adjudications[i].votes_to_defeat) + "}";
-  }
-  out += "]";
-  out += ",\n  \"budgets\": ";
-  append_json_u64_array(out, m.axes.budgets);
-  if (!m.axes.cell_budgets.empty()) {
-    out += ",\n  \"cell_budgets\": ";
-    append_json_u64_array(out, m.axes.cell_budgets);
-  }
-  out += "\n}\n";
-  return out;
-}
-
 namespace {
 
 // The demand and experiment manifest payloads lead with their job kind so
@@ -731,29 +706,6 @@ std::uint64_t demand_manifest_fingerprint(const demand_manifest& m) {
   return stats::fnv1a64(w.buffer());
 }
 
-std::string demand_manifest_json(const demand_manifest& m) {
-  m.validate();
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"job_kind\": \"demand_campaign\"";
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"demands\": " + std::to_string(m.demands);
-  out += ",\n  \"targets\": " + std::to_string(m.target_pfd.size());
-  out += ",\n  \"window\": " + std::to_string(m.window);
-  out += ",\n  \"window_count\": " + std::to_string(m.window_count());
-  out += ",\n  \"fingerprint\": " + std::to_string(demand_manifest_fingerprint(m));
-  const auto [lo, hi] =
-      std::minmax_element(m.target_pfd.begin(), m.target_pfd.end());
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", *lo);
-  out += ",\n  \"pfd_min\": ";
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "%.17g", *hi);
-  out += ",\n  \"pfd_max\": ";
-  out += buf;
-  out += "\n}\n";
-  return out;
-}
-
 std::string encode_experiment_manifest(const experiment_manifest& m) {
   wire_writer w;
   write_experiment_manifest_payload(w, m);
@@ -772,24 +724,76 @@ std::uint64_t experiment_manifest_fingerprint(const experiment_manifest& m) {
   return stats::fnv1a64(w.buffer());
 }
 
-std::string experiment_manifest_json(const experiment_manifest& m) {
-  m.validate();
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"job_kind\": \"experiment_shards\"";
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"samples\": " + std::to_string(m.samples);
-  out += ",\n  \"shards\": " + std::to_string(m.shards);
-  out += ",\n  \"engine\": " + std::to_string(static_cast<std::uint32_t>(m.engine));
-  out += ",\n  \"keep_samples\": ";
-  out += m.keep_samples ? "true" : "false";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", m.ci_level);
-  out += ",\n  \"ci_level\": ";
-  out += buf;
-  out += ",\n  \"window\": " + std::to_string(m.window);
-  out += ",\n  \"window_count\": " + std::to_string(m.window_count());
-  out += ",\n  \"faults\": " + std::to_string(m.universe.size());
-  out += ",\n  \"fingerprint\": " + std::to_string(experiment_manifest_fingerprint(m));
+job_kind manifest_job_kind(const manifest_variant& m) {
+  // The variant's alternatives are listed in job_kind order (scenario_grid = 1).
+  return static_cast<job_kind>(m.index() + 1);
+}
+
+std::uint64_t manifest_fingerprint(const manifest_variant& m) {
+  if (const auto* d = std::get_if<demand_manifest>(&m)) return demand_manifest_fingerprint(*d);
+  if (const auto* e = std::get_if<experiment_manifest>(&m)) {
+    return experiment_manifest_fingerprint(*e);
+  }
+  return manifest_fingerprint(std::get<sweep_manifest>(m));
+}
+
+std::string manifest_to_json(const manifest_variant& manifest) {
+  std::string out = "{\n  \"kind\": \"";
+  out += job_kind_name(manifest_job_kind(manifest));
+  out += "\",\n  \"fingerprint\": " + std::to_string(manifest_fingerprint(manifest));
+  if (const auto* m = std::get_if<sweep_manifest>(&manifest)) {
+    out += ",\n  \"seed\": " + std::to_string(m->seed);
+    out += ",\n  \"shards\": " + std::to_string(m->shards);
+    out += ",\n  \"cell_count\": " + std::to_string(m->cell_count);
+    out += ",\n  \"stress\": ";
+    append_json_f64(out, m->axes.stress);
+    out += ",\n  \"rho_model\": \"";
+    out += m->axes.rho_model == correlation_model::copula ? "copula" : "mixture";
+    out += "\",\n  \"universes\": [";
+    for (std::size_t u = 0; u < m->axes.universes.size(); ++u) {
+      if (u > 0) out += ',';
+      out += "{\"name\":\"" + m->axes.universes[u].first + "\",\"atoms\":";
+      append_json_atoms(out, m->axes.universes[u].second);
+      out += '}';
+    }
+    out += "],\n  \"correlations\": ";
+    append_json_f64_array(out, m->axes.correlations);
+    out += ",\n  \"overlaps\": ";
+    append_json_f64_array(out, m->axes.overlaps);
+    out += ",\n  \"aliasing\": ";
+    append_json_u64_array(out, m->axes.aliasing);
+    out += ",\n  \"adjudications\": [";
+    for (std::size_t i = 0; i < m->axes.adjudications.size(); ++i) {
+      if (i > 0) out += ',';
+      out += "{\"versions\":" + std::to_string(m->axes.adjudications[i].versions) +
+             ",\"votes\":" + std::to_string(m->axes.adjudications[i].votes_to_defeat) + "}";
+    }
+    out += "],\n  \"budgets\": ";
+    append_json_u64_array(out, m->axes.budgets);
+    if (!m->axes.cell_budgets.empty()) {
+      out += ",\n  \"cell_budgets\": ";
+      append_json_u64_array(out, m->axes.cell_budgets);
+    }
+  } else if (const auto* d = std::get_if<demand_manifest>(&manifest)) {
+    out += ",\n  \"seed\": " + std::to_string(d->seed);
+    out += ",\n  \"demands\": " + std::to_string(d->demands);
+    out += ",\n  \"window\": " + std::to_string(d->window);
+    out += ",\n  \"target_pfd\": ";
+    append_json_f64_array(out, d->target_pfd);
+  } else {
+    const auto& e = std::get<experiment_manifest>(manifest);
+    out += ",\n  \"seed\": " + std::to_string(e.seed);
+    out += ",\n  \"samples\": " + std::to_string(e.samples);
+    out += ",\n  \"shards\": " + std::to_string(e.shards);
+    out += ",\n  \"engine\": " + std::to_string(static_cast<std::uint32_t>(e.engine));
+    out += ",\n  \"keep_samples\": ";
+    out += e.keep_samples ? "true" : "false";
+    out += ",\n  \"ci_level\": ";
+    append_json_f64(out, e.ci_level);
+    out += ",\n  \"window\": " + std::to_string(e.window);
+    out += ",\n  \"atoms\": ";
+    append_json_atoms(out, e.universe);
+  }
   out += "\n}\n";
   return out;
 }

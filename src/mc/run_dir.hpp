@@ -27,7 +27,8 @@
 //                                 shard layout, and the enumerated cell
 //                                 count.  Its payload's FNV-1a hash is the
 //                                 run's *fingerprint*.
-//   <run_dir>/manifest.json       human-readable mirror (never parsed).
+//   <run_dir>/manifest.json       human-readable mirror (manifest_to_json;
+//                                 never parsed).
 //   <run_dir>/cells/cell_NNNNNN.state
 //                                 one completed cell: the run fingerprint,
 //                                 the cell index, and the full
@@ -48,6 +49,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "mc/campaign.hpp"
 #include "mc/experiment.hpp"
@@ -232,24 +234,30 @@ struct sweep_manifest {
 /// layout can never be merged into this run.
 [[nodiscard]] std::uint64_t manifest_fingerprint(const sweep_manifest& m);
 
-/// Human-readable JSON mirror of the manifest (axes summary + identity
-/// fields).  Written next to the binary manifest for operators and CI
-/// artifacts; never parsed back.
-[[nodiscard]] std::string manifest_json(const sweep_manifest& m);
-
 // Demand-campaign manifest (kind = demand_manifest).  The payload leads with
 // the job kind so the three manifest payloads can never alias under the
 // fingerprint hash.
 [[nodiscard]] std::string encode_demand_manifest(const demand_manifest& m);
 [[nodiscard]] demand_manifest decode_demand_manifest(std::string_view blob);
 [[nodiscard]] std::uint64_t demand_manifest_fingerprint(const demand_manifest& m);
-[[nodiscard]] std::string demand_manifest_json(const demand_manifest& m);
 
 // Experiment shard-window manifest (kind = experiment_manifest).
 [[nodiscard]] std::string encode_experiment_manifest(const experiment_manifest& m);
 [[nodiscard]] experiment_manifest decode_experiment_manifest(std::string_view blob);
 [[nodiscard]] std::uint64_t experiment_manifest_fingerprint(const experiment_manifest& m);
-[[nodiscard]] std::string experiment_manifest_json(const experiment_manifest& m);
+
+/// A run's manifest, whatever its job kind (alternatives in job_kind order).
+using manifest_variant = std::variant<sweep_manifest, demand_manifest, experiment_manifest>;
+
+/// The job kind and the fingerprint of whichever manifest `m` holds.
+[[nodiscard]] job_kind manifest_job_kind(const manifest_variant& m);
+[[nodiscard]] std::uint64_t manifest_fingerprint(const manifest_variant& m);
+
+/// The manifest as %.17g-clean JSON: kind, fingerprint, seed, every axis,
+/// and atom-for-atom universes (demand rosters in full).  Written as
+/// <run_dir>/manifest.json next to the binary manifest and printed by
+/// run_handle::describe(); never parsed back.
+[[nodiscard]] std::string manifest_to_json(const manifest_variant& m);
 
 // ---------------------------------------------------------------------------
 // Filesystem layer

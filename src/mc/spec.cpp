@@ -1089,8 +1089,7 @@ universe_decl explicit_decl(std::string name, const core::fault_universe& u) {
 
 }  // namespace
 
-sweep_spec spec_from_manifest(
-    const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest) {
+sweep_spec spec_from_manifest(const manifest_variant& manifest) {
   sweep_spec spec;
   if (const auto* m = std::get_if<sweep_manifest>(&manifest)) {
     spec.kind = job_kind::scenario_grid;
@@ -1108,123 +1107,6 @@ sweep_spec spec_from_manifest(
     spec.manifest = e;
   }
   return spec;
-}
-
-std::string describe_manifest_json(
-    const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest) {
-  std::string out;
-  auto atoms_json = [](std::string& o, const core::fault_universe& u) {
-    o += "[";
-    const auto atoms = u.atoms();
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      if (i > 0) o += ',';
-      o += "{\"p\":";
-      append_f64(o, atoms[i].p);
-      o += ",\"q\":";
-      append_f64(o, atoms[i].q);
-      o += "}";
-    }
-    o += "]";
-  };
-  if (const auto* m = std::get_if<sweep_manifest>(&manifest)) {
-    out += "{\n  \"kind\": \"scenario_grid\",\n  \"fingerprint\": ";
-    append_u64(out, manifest_fingerprint(*m));
-    out += ",\n  \"seed\": ";
-    append_u64(out, m->seed);
-    out += ",\n  \"shards\": ";
-    append_u64(out, m->shards);
-    out += ",\n  \"cell_count\": ";
-    append_u64(out, m->cell_count);
-    out += ",\n  \"stress\": ";
-    append_f64(out, m->axes.stress);
-    out += ",\n  \"rho_model\": \"";
-    out += m->axes.rho_model == correlation_model::copula ? "copula" : "mixture";
-    out += "\",\n  \"universes\": [";
-    for (std::size_t u = 0; u < m->axes.universes.size(); ++u) {
-      if (u > 0) out += ',';
-      out += "{\"name\":\"";
-      out += m->axes.universes[u].first;
-      out += "\",\"atoms\":";
-      atoms_json(out, m->axes.universes[u].second);
-      out += "}";
-    }
-    out += "],\n  \"correlations\": [";
-    for (std::size_t i = 0; i < m->axes.correlations.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, m->axes.correlations[i]);
-    }
-    out += "],\n  \"overlaps\": [";
-    for (std::size_t i = 0; i < m->axes.overlaps.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, m->axes.overlaps[i]);
-    }
-    out += "],\n  \"aliasing\": [";
-    for (std::size_t i = 0; i < m->axes.aliasing.size(); ++i) {
-      if (i > 0) out += ',';
-      append_u64(out, m->axes.aliasing[i]);
-    }
-    out += "],\n  \"adjudications\": [";
-    for (std::size_t i = 0; i < m->axes.adjudications.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"versions\":";
-      append_u64(out, m->axes.adjudications[i].versions);
-      out += ",\"votes\":";
-      append_u64(out, m->axes.adjudications[i].votes_to_defeat);
-      out += "}";
-    }
-    out += "],\n  \"budgets\": [";
-    for (std::size_t i = 0; i < m->axes.budgets.size(); ++i) {
-      if (i > 0) out += ',';
-      append_u64(out, m->axes.budgets[i]);
-    }
-    out += "]";
-    if (!m->axes.cell_budgets.empty()) {
-      out += ",\n  \"cell_budgets\": [";
-      for (std::size_t i = 0; i < m->axes.cell_budgets.size(); ++i) {
-        if (i > 0) out += ',';
-        append_u64(out, m->axes.cell_budgets[i]);
-      }
-      out += "]";
-    }
-    out += "\n}\n";
-  } else if (const auto* d = std::get_if<demand_manifest>(&manifest)) {
-    out += "{\n  \"kind\": \"demand_campaign\",\n  \"fingerprint\": ";
-    append_u64(out, demand_manifest_fingerprint(*d));
-    out += ",\n  \"seed\": ";
-    append_u64(out, d->seed);
-    out += ",\n  \"demands\": ";
-    append_u64(out, d->demands);
-    out += ",\n  \"window\": ";
-    append_u64(out, d->window);
-    out += ",\n  \"target_pfd\": [";
-    for (std::size_t i = 0; i < d->target_pfd.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, d->target_pfd[i]);
-    }
-    out += "]\n}\n";
-  } else {
-    const auto& e = std::get<experiment_manifest>(manifest);
-    out += "{\n  \"kind\": \"experiment_shards\",\n  \"fingerprint\": ";
-    append_u64(out, experiment_manifest_fingerprint(e));
-    out += ",\n  \"seed\": ";
-    append_u64(out, e.seed);
-    out += ",\n  \"samples\": ";
-    append_u64(out, e.samples);
-    out += ",\n  \"shards\": ";
-    append_u64(out, e.shards);
-    out += ",\n  \"engine\": ";
-    append_u64(out, static_cast<std::uint64_t>(e.engine));
-    out += ",\n  \"keep_samples\": ";
-    out += e.keep_samples ? "true" : "false";
-    out += ",\n  \"ci_level\": ";
-    append_f64(out, e.ci_level);
-    out += ",\n  \"window\": ";
-    append_u64(out, e.window);
-    out += ",\n  \"atoms\": ";
-    atoms_json(out, e.universe);
-    out += "\n}\n";
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "mc/campaign.hpp"
@@ -101,7 +100,7 @@ struct refine_rule {
 /// The resolved job plus everything needed to re-emit the spec.
 struct sweep_spec {
   job_kind kind = job_kind::scenario_grid;
-  std::variant<sweep_manifest, demand_manifest, experiment_manifest> manifest;
+  manifest_variant manifest;
   std::vector<universe_decl> universes;  ///< declarations, writer-ready
   /// Compact demand roster declaration (kind == demand_campaign, when the
   /// spec used the loguniform form): targets > 0 means (targets, pfd_lo,
@@ -143,14 +142,7 @@ struct spec_parse_result {
 /// universes become explicit %.17g atom lists, demand rosters an explicit
 /// target_pfd list.  Refinement knobs are not part of any manifest, so the
 /// result carries no [refine] section.
-[[nodiscard]] sweep_spec spec_from_manifest(
-    const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest);
-
-/// The run's spec/axes as %.17g-clean JSON (atom-for-atom universes
-/// included) — what `run_handle::describe()` and `reldiv_sweep describe`
-/// print.
-[[nodiscard]] std::string describe_manifest_json(
-    const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest);
+[[nodiscard]] sweep_spec spec_from_manifest(const manifest_variant& manifest);
 
 struct refined_budgets {
   std::vector<std::uint64_t> budgets;  ///< per cell, engaged iff errors empty

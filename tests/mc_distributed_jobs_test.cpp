@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <variant>
 
 #include "core/generators.hpp"
 #include "mc/distributed.hpp"
@@ -46,6 +47,12 @@ mc::experiment_manifest test_experiment_manifest(bool keep_samples = false) {
   cfg.keep_samples = keep_samples;
   return mc::make_experiment_manifest(
       core::make_safety_grade_universe(24, 0.0, 0.05, 0.6, 5), cfg, /*window=*/3);
+}
+
+/// The merged result of a complete run directory of kind T.
+template <typename T>
+T merge_as(const fs::path& dir) {
+  return std::get<T>(mc::run_handle::open(dir).merge());
 }
 
 void expect_results_equal(const mc::experiment_result& a, const mc::experiment_result& b) {
@@ -174,35 +181,37 @@ TEST_F(DistributedJobsTest, ManifestValidationRejectsBrokenIdentities) {
 
 TEST_F(DistributedJobsTest, DemandInitResumeAndKindSafety) {
   const mc::demand_manifest m = test_demand_manifest();
-  (void)mc::init_demand_run_dir(m, dir_);
-  EXPECT_EQ(mc::load_run_kind(dir_), mc::job_kind::demand_campaign);
+  (void)mc::run_handle::init(m, dir_);
+  const mc::run_handle opened = mc::run_handle::open(dir_);
+  EXPECT_EQ(opened.kind(), mc::job_kind::demand_campaign);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
-  EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
+  EXPECT_EQ(mc::read_file(dir_ / "manifest.json"), opened.describe());
 
-  const mc::demand_manifest loaded = mc::load_demand_manifest(dir_);
+  const mc::demand_manifest& loaded = opened.demand_campaign_manifest();
   EXPECT_EQ(mc::demand_manifest_fingerprint(loaded), mc::demand_manifest_fingerprint(m));
 
   // Same campaign resumes; a different budget refuses; a different KIND
   // refuses even before fingerprints are compared.
-  EXPECT_NO_THROW((void)mc::init_demand_run_dir(m, dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(m, dir_));
   mc::demand_manifest other = m;
   other.demands += 1;
-  EXPECT_THROW((void)mc::init_demand_run_dir(other, dir_), mc::run_dir_error);
-  EXPECT_THROW((void)mc::init_experiment_run_dir(test_experiment_manifest(), dir_),
+  EXPECT_THROW((void)mc::run_handle::init(other, dir_), mc::run_dir_error);
+  EXPECT_THROW((void)mc::run_handle::init(test_experiment_manifest(), dir_),
                mc::run_dir_error);
-  EXPECT_THROW((void)mc::load_run_manifest(dir_), mc::run_dir_error);
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  // The typed accessors refuse another kind's manifest.
+  EXPECT_THROW((void)opened.grid_manifest(), mc::run_dir_error);
+  EXPECT_THROW((void)opened.experiment_shards_manifest(), mc::run_dir_error);
 }
 
 TEST_F(DistributedJobsTest, DemandWorkerFillsDirectoryAndMergeEqualsSingleProcess) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 10u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  const mc::demand_tally merged = mc::merge_demand_run_dir(dir_);
+  const mc::demand_tally merged = merge_as<mc::demand_tally>(dir_);
   const mc::demand_tally single =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
   EXPECT_EQ(merged.demands, single.demands);
@@ -215,21 +224,21 @@ TEST_F(DistributedJobsTest, DemandWorkerFillsDirectoryAndMergeEqualsSingleProces
 
 TEST_F(DistributedJobsTest, DemandInterruptedRunResumesBitIdentical) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/4);
   EXPECT_EQ(partial.computed, 4u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 6u);
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_as<mc::demand_tally>(dir_), mc::run_dir_error);
 
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merge_as<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
 TEST_F(DistributedJobsTest, DemandCorruptWindowIsRecomputed) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path victim = mc::cell_state_path(dir_, 5);
@@ -237,32 +246,32 @@ TEST_F(DistributedJobsTest, DemandCorruptWindowIsRecomputed) {
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x20);
   mc::write_file_atomic(victim, blob);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{5});
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_as<mc::demand_tally>(dir_), mc::run_dir_error);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merge_as<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
 TEST_F(DistributedJobsTest, DemandForeignWindowFileRejected) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path foreign_dir = dir_.string() + ".foreign";
   mc::demand_manifest other = m;
   other.seed = 777;
-  mc::init_demand_run_dir(other, foreign_dir);
+  (void)mc::run_handle::init(other, foreign_dir);
   (void)mc::run_pending_cells(foreign_dir, 1);
   fs::copy_file(mc::cell_state_path(foreign_dir, 0), mc::cell_state_path(dir_, 0),
                 fs::copy_options::overwrite_existing);
   fs::remove_all(foreign_dir);
 
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_as<mc::demand_tally>(dir_), mc::run_dir_error);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{0});
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merge_as<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
@@ -272,22 +281,22 @@ TEST_F(DistributedJobsTest, DemandForeignWindowFileRejected) {
 
 TEST_F(DistributedJobsTest, ExperimentWorkerFillsDirectoryAndMergeEqualsRunExperiment) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
-  EXPECT_EQ(mc::load_run_kind(dir_), mc::job_kind::experiment_shards);
+  (void)mc::run_handle::init(m, dir_);
+  EXPECT_EQ(mc::run_handle::open(dir_).kind(), mc::job_kind::experiment_shards);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 6u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merge_as<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
 TEST_F(DistributedJobsTest, ExperimentKeepSamplesRoundTripsThroughTheRunDir) {
   const mc::experiment_manifest m = test_experiment_manifest(/*keep_samples=*/true);
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
-  const mc::experiment_result merged = mc::merge_experiment_run_dir(dir_);
+  const mc::experiment_result merged = merge_as<mc::experiment_result>(dir_);
   const mc::experiment_result single = mc::run_experiment(m.universe, m.config());
   ASSERT_TRUE(merged.theta1_samples.has_value());
   expect_results_equal(merged, single);
@@ -295,21 +304,21 @@ TEST_F(DistributedJobsTest, ExperimentKeepSamplesRoundTripsThroughTheRunDir) {
 
 TEST_F(DistributedJobsTest, ExperimentInterruptedRunResumesBitIdentical) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/2);
   EXPECT_EQ(partial.computed, 2u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 4u);
-  EXPECT_THROW((void)mc::merge_experiment_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_as<mc::experiment_result>(dir_), mc::run_dir_error);
 
   (void)mc::run_pending_cells(dir_);
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merge_as<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
 TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path victim = mc::cell_state_path(dir_, 3);
@@ -320,7 +329,7 @@ TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merge_as<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
@@ -332,16 +341,21 @@ TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
 
 TEST_F(DistributedJobsTest, FourWorkerProcessesMatchSingleProcessDemandCampaign) {
   const mc::demand_manifest m = test_demand_manifest();
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::demand_tally merged = mc::run_distributed_demand(m, dist, RELDIV_SWEEP_BIN);
+  const mc::distributed_config dist{.workers = 4};
+  const mc::run_handle run = mc::run_handle::init(m, dir_);
+  const mc::merged_tables merged = mc::run_distributed(run, dist, RELDIV_SWEEP_BIN);
   const mc::demand_tally single =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
-  EXPECT_EQ(merged.failures, single.failures);
+  EXPECT_EQ(merge_as<mc::demand_tally>(dir_).failures, single.failures);
+  const mc::merged_tables oracle = mc::render_tables(m, single);
+  EXPECT_EQ(merged.csv, oracle.csv);
+  EXPECT_EQ(merged.json, oracle.json);
+  EXPECT_EQ(merged.cells, 10u);
 }
 
 TEST_F(DistributedJobsTest, KilledDemandRunResumesBitIdentical) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   // First wave: 4 real worker processes, each quota'd to one window — the
   // deterministic stand-in for a SIGKILL that leaves 4 of 10 state files.
@@ -350,33 +364,39 @@ TEST_F(DistributedJobsTest, KilledDemandRunResumesBitIdentical) {
   for (const int c : codes) EXPECT_EQ(c, 0);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 6u);
 
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::demand_tally merged = mc::run_distributed_demand(m, dist, RELDIV_SWEEP_BIN);
-  EXPECT_EQ(merged.failures,
-            mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
+  const mc::distributed_config dist{.workers = 4};
+  const mc::merged_tables merged =
+      mc::run_distributed(mc::run_handle::init(m, dir_), dist, RELDIV_SWEEP_BIN);
+  EXPECT_EQ(merged.csv, mc::render_tables(m, mc::run_demand_campaign(m.target_pfd, m.demands,
+                                                                     m.config()))
+                            .csv);
 }
 
 TEST_F(DistributedJobsTest, FourWorkerProcessesMatchSingleProcessExperiment) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::experiment_result merged =
-      mc::run_distributed_experiment(m, dist, RELDIV_SWEEP_BIN);
-  expect_results_equal(merged, mc::run_experiment(m.universe, m.config()));
+  const mc::distributed_config dist{.workers = 4};
+  const mc::run_handle run = mc::run_handle::init(m, dir_);
+  const mc::merged_tables merged = mc::run_distributed(run, dist, RELDIV_SWEEP_BIN);
+  const mc::experiment_result single = mc::run_experiment(m.universe, m.config());
+  expect_results_equal(merge_as<mc::experiment_result>(dir_), single);
+  const mc::merged_tables oracle = mc::render_tables(m, single);
+  EXPECT_EQ(merged.csv, oracle.csv);
+  EXPECT_EQ(merged.json, oracle.json);
 }
 
 TEST_F(DistributedJobsTest, KilledExperimentRunResumesBitIdentical) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto pids = mc::spawn_sweep_workers(RELDIV_SWEEP_BIN, dir_, 4, /*max_cells=*/1);
   const auto codes = mc::wait_sweep_workers(pids);
   for (const int c : codes) EXPECT_EQ(c, 0);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 2u);
 
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::experiment_result merged =
-      mc::run_distributed_experiment(m, dist, RELDIV_SWEEP_BIN);
-  expect_results_equal(merged, mc::run_experiment(m.universe, m.config()));
+  const mc::distributed_config dist{.workers = 4};
+  (void)mc::run_distributed(mc::run_handle::init(m, dir_), dist, RELDIV_SWEEP_BIN);
+  expect_results_equal(merge_as<mc::experiment_result>(dir_),
+                       mc::run_experiment(m.universe, m.config()));
 }
 
 #endif  // RELDIV_SWEEP_BIN

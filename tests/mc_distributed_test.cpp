@@ -6,13 +6,18 @@
 #include "mc/distributed.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "core/generators.hpp"
 #include "mc/run_dir.hpp"
@@ -39,6 +44,11 @@ mc::scenario_axes test_axes() {
 
 mc::scenario_config test_config() { return {.seed = 31337, .threads = 2, .shards = 0}; }
 
+/// The merged grid of a complete scenario run directory.
+mc::grid_result merge_grid(const fs::path& dir) {
+  return std::get<mc::grid_result>(mc::run_handle::open(dir).merge());
+}
+
 class DistributedTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -55,25 +65,31 @@ class DistributedTest : public ::testing::Test {
 };
 
 TEST_F(DistributedTest, InitWritesManifestAndJsonMirror) {
-  const auto m = mc::init_run_dir(test_axes(), test_config(), dir_);
+  const mc::run_handle h = mc::run_handle::init(test_axes(), test_config(), dir_);
+  const mc::sweep_manifest& m = h.grid_manifest();
+  EXPECT_EQ(h.kind(), mc::job_kind::scenario_grid);
+  EXPECT_EQ(h.cell_count(), 16u);
   EXPECT_EQ(m.cell_count, 16u);
   EXPECT_EQ(m.seed, 31337u);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
   EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
   EXPECT_TRUE(fs::exists(mc::cells_dir(dir_)));
 
-  const auto loaded = mc::load_run_manifest(dir_);
-  EXPECT_EQ(mc::manifest_fingerprint(loaded), mc::manifest_fingerprint(m));
+  const mc::run_handle opened = mc::run_handle::open(dir_);
+  EXPECT_EQ(mc::manifest_fingerprint(opened.grid_manifest()), mc::manifest_fingerprint(m));
+  EXPECT_EQ(opened.fingerprint(), h.fingerprint());
+  // One emitter: the JSON mirror on disk is exactly what describe() prints.
+  EXPECT_EQ(mc::read_file(dir_ / "manifest.json"), opened.describe());
 
   // Re-init with the same sweep resumes; with a different seed it refuses.
-  EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), test_config(), dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(test_axes(), test_config(), dir_));
   mc::scenario_config other = test_config();
   other.seed = 1;
-  EXPECT_THROW((void)mc::init_run_dir(test_axes(), other, dir_), mc::run_dir_error);
+  EXPECT_THROW((void)mc::run_handle::init(test_axes(), other, dir_), mc::run_dir_error);
   // threads is a throughput knob, not identity: changing it still resumes.
   mc::scenario_config threads = test_config();
   threads.threads = 7;
-  EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), threads, dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(test_axes(), threads, dir_));
 }
 
 TEST_F(DistributedTest, InitRefusesInfeasibleMixtureCells) {
@@ -82,24 +98,24 @@ TEST_F(DistributedTest, InitRefusesInfeasibleMixtureCells) {
   // run is refused before anything is written.
   mc::scenario_axes axes = test_axes();
   axes.correlations = {0.0, 0.6};
-  EXPECT_THROW((void)mc::init_run_dir(axes, test_config(), dir_), std::invalid_argument);
+  EXPECT_THROW((void)mc::run_handle::init(axes, test_config(), dir_), std::invalid_argument);
   EXPECT_FALSE(fs::exists(mc::manifest_path(dir_)));
   // The copula model has no such constraint on the same ρ.
   axes.rho_model = mc::correlation_model::copula;
-  EXPECT_NO_THROW((void)mc::init_run_dir(axes, test_config(), dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(axes, test_config(), dir_));
 }
 
 TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 16u);
   EXPECT_EQ(report.skipped, 0u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  const mc::grid_result merged = mc::merge_run_dir(dir_);
+  const mc::grid_result merged = merge_grid(dir_);
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
   EXPECT_EQ(merged.to_csv(), single.to_csv());
   EXPECT_EQ(merged.to_json(), single.to_json());
@@ -113,20 +129,20 @@ TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {
 TEST_F(DistributedTest, InterruptedRunResumesBitIdentical) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // "Kill" the worker after 5 cells: exactly the surviving-state-files
   // situation a SIGKILL leaves behind.
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/5);
   EXPECT_EQ(partial.computed, 5u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 11u);
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_grid(dir_), mc::run_dir_error);
 
   const auto resumed = mc::run_pending_cells(dir_);
   EXPECT_EQ(resumed.computed, 11u);
   EXPECT_EQ(resumed.skipped, 5u);
 
-  const mc::grid_result merged = mc::merge_run_dir(dir_);
+  const mc::grid_result merged = merge_grid(dir_);
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
   EXPECT_EQ(merged.to_csv(), single.to_csv());
   EXPECT_EQ(merged.to_json(), single.to_json());
@@ -139,7 +155,7 @@ constexpr long kDeadPid = 999'999'999;
 TEST_F(DistributedTest, StaleClaimsAreSkippedThenCleaned) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // A claim left by a killed local worker makes cell 2 look owned — but its
   // recorded pid is provably dead on this host, so the worker reaps it
@@ -160,11 +176,11 @@ TEST_F(DistributedTest, StaleClaimsAreSkippedThenCleaned) {
   EXPECT_TRUE(fs::exists(orphan_tmp));
   mc::clean_stale_claims(dir_);
   EXPECT_FALSE(fs::exists(orphan_tmp));
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merge_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ForeignHostClaimHonorsLeaseTtl) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // A claim from another host whose pid we cannot probe: inside its lease it
   // must survive any clean_stale_claims sweep (the worker may be alive over
@@ -188,7 +204,7 @@ TEST_F(DistributedTest, ForeignHostClaimHonorsLeaseTtl) {
 }
 
 TEST_F(DistributedTest, LiveLocalClaimIsNotReaped) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Our own live pid: clean_stale_claims must leave the claim alone — the
   // rename-claim protocol's whole point is that live owners keep their cell.
@@ -201,7 +217,7 @@ TEST_F(DistributedTest, LiveLocalClaimIsNotReaped) {
 }
 
 TEST_F(DistributedTest, UnparseableClaimFallsBackToLease) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Garbage content (e.g. a pre-lease-format claim): only the TTL rule may
   // reap it.
@@ -216,7 +232,7 @@ TEST_F(DistributedTest, UnparseableClaimFallsBackToLease) {
 }
 
 TEST_F(DistributedTest, OverflowingOrphanPidSuffixFallsBackToLease) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Orphan temp names carry their owner's pid as a filename suffix.  A
   // suffix that overflows `long` (or a crafted negative one) must parse as
@@ -257,7 +273,7 @@ std::string own_claim_body() {
 // keeping it alive (the TTL rule reaps aged claims even for live local
 // owners; that is exactly why workers must renew).
 TEST_F(DistributedTest, HeartbeatRenewalOutlivesTheLeaseTtl) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
   const auto ttl = std::chrono::seconds{1};
   const fs::path claim = mc::cell_claim_path(dir_, 3);
   const std::string body = own_claim_body();
@@ -285,7 +301,7 @@ TEST_F(DistributedTest, HeartbeatRenewalOutlivesTheLeaseTtl) {
 }
 
 TEST_F(DistributedTest, ReapedClaimStopsTheHeartbeatInsteadOfResurrecting) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
   const fs::path claim = mc::cell_claim_path(dir_, 5);
   const std::string body = own_claim_body();
   std::ofstream(claim) << body;
@@ -313,7 +329,7 @@ TEST_F(DistributedTest, ReapedClaimStopsTheHeartbeatInsteadOfResurrecting) {
 TEST_F(DistributedTest, WorkerWithShrunkenTtlSurvivesConcurrentSweeps) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // A coordinator hammering clean_stale_claims with the same shrunken TTL
   // the worker renews against: no live claim may be reaped, every cell
@@ -333,11 +349,11 @@ TEST_F(DistributedTest, WorkerWithShrunkenTtlSurvivesConcurrentSweeps) {
 
   EXPECT_EQ(report.computed, 16u);
   EXPECT_EQ(report.quarantined, 0u);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merge_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ClaimSweepReportCountsEachOutcome) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // One provably-dead local claim, one orphaned .tmp, one live foreign
   // lease: the sweep report must account for each fate separately.
@@ -361,7 +377,7 @@ TEST_F(DistributedTest, ClaimSweepReportCountsEachOutcome) {
 TEST_F(DistributedTest, CorruptCellFileIsRecomputed) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
   (void)mc::run_pending_cells(dir_);
 
   // Flip one byte in a completed cell: it must read as "not done" ...
@@ -370,34 +386,34 @@ TEST_F(DistributedTest, CorruptCellFileIsRecomputed) {
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x10);
   mc::write_file_atomic(victim, blob);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{7});
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_grid(dir_), mc::run_dir_error);
 
   // ... and a resume heals it, landing on the exact single-process result.
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merge_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ForeignCellFileRejected) {
   const auto axes = test_axes();
-  mc::init_run_dir(axes, test_config(), dir_);
+  (void)mc::run_handle::init(axes, test_config(), dir_);
   (void)mc::run_pending_cells(dir_);
 
   // Plant cell 0 of a different sweep (other seed) at position 0.
   const fs::path foreign_dir = dir_.string() + ".foreign";
   mc::scenario_config other = test_config();
   other.seed = 777;
-  mc::init_run_dir(axes, other, foreign_dir);
+  (void)mc::run_handle::init(axes, other, foreign_dir);
   (void)mc::run_pending_cells(foreign_dir, 1);
   fs::copy_file(mc::cell_state_path(foreign_dir, 0), mc::cell_state_path(dir_, 0),
                 fs::copy_options::overwrite_existing);
   fs::remove_all(foreign_dir);
 
   // The fingerprint check refuses to merge it, and resume recomputes it.
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merge_grid(dir_), mc::run_dir_error);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{0});
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(),
+  EXPECT_EQ(merge_grid(dir_).to_csv(),
             mc::run_scenario_grid(axes, test_config()).to_csv());
 }
 
@@ -406,19 +422,20 @@ TEST_F(DistributedTest, ForeignCellFileRejected) {
 TEST_F(DistributedTest, FourWorkerProcessesMatchSingleProcessBitForBit) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
+  const mc::distributed_config dist{.workers = 4};
 
-  const mc::grid_result merged =
-      mc::run_distributed_grid(axes, cfg, dist, RELDIV_SWEEP_BIN);
+  const mc::merged_tables merged = mc::run_distributed(
+      mc::run_handle::init(axes, cfg, dir_), dist, RELDIV_SWEEP_BIN);
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
-  EXPECT_EQ(merged.to_csv(), single.to_csv());
-  EXPECT_EQ(merged.to_json(), single.to_json());
+  EXPECT_EQ(merged.csv, single.to_csv());
+  EXPECT_EQ(merged.json, single.to_json());
+  EXPECT_EQ(merged.cells, 16u);
 }
 
 TEST_F(DistributedTest, KilledMultiProcessRunResumesBitIdentical) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // First wave: 4 real worker processes, each quota'd to one cell — the
   // deterministic stand-in for a SIGKILL that leaves 4 of 16 state files.
@@ -428,18 +445,59 @@ TEST_F(DistributedTest, KilledMultiProcessRunResumesBitIdentical) {
   EXPECT_EQ(mc::missing_cells(dir_).size(), 12u);
 
   // Resume with a fresh coordinator: identical to the uninterrupted run.
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::grid_result merged =
-      mc::run_distributed_grid(axes, cfg, dist, RELDIV_SWEEP_BIN);
-  EXPECT_EQ(merged.to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  const mc::distributed_config dist{.workers = 4};
+  const mc::merged_tables merged = mc::run_distributed(
+      mc::run_handle::init(axes, cfg, dir_), dist, RELDIV_SWEEP_BIN);
+  EXPECT_EQ(merged.csv, mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, MissingWorkerBinaryReportsCleanly) {
   const auto axes = test_axes();
-  const mc::distributed_config dist{.run_dir = dir_, .workers = 2};
-  EXPECT_THROW(
-      (void)mc::run_distributed_grid(axes, test_config(), dist, "/nonexistent/worker"),
-      mc::run_dir_error);
+  const mc::distributed_config dist{.workers = 2};
+  const mc::run_handle run = mc::run_handle::init(axes, test_config(), dir_);
+  EXPECT_THROW((void)mc::run_distributed(run, dist, "/nonexistent/worker"),
+               mc::run_dir_error);
+}
+
+/// Run the CLI with `args`; returns (exit code, stdout+stderr).
+std::pair<int, std::string> run_cli(const std::string& args) {
+  const std::string cmd = std::string(RELDIV_SWEEP_BIN) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST_F(DistributedTest, RetiredFlagsExitTwoNamingTheirReplacement) {
+  // The classic role and job-selection flags, bare and inside a subcommand.
+  const std::pair<const char*, const char*> retired[] = {
+      {"single", "reldiv_sweep single"},   {"worker", "reldiv_sweep worker"},
+      {"merge-only", "reldiv_sweep merge"}, {"chaos", "reldiv_sweep chaos"},
+      {"preset", "--spec examples/specs/"}, {"mode", "--spec file"}};
+  for (const auto& [name, replacement] : retired) {
+    const std::string flag = std::string("--") + name;
+    for (const std::string& prefix : {std::string(), std::string("run ")}) {
+      const auto [rc, out] = run_cli(prefix + flag + " x --run-dir " + dir_.string());
+      EXPECT_EQ(rc, 2) << prefix << flag;
+      EXPECT_NE(out.find(flag + " was retired"), std::string::npos) << out;
+      EXPECT_NE(out.find(replacement), std::string::npos) << out;
+    }
+  }
+  EXPECT_FALSE(fs::exists(dir_)) << "a rejected command must not touch the run dir";
+}
+
+TEST_F(DistributedTest, JobSubcommandsRequireASpecFile) {
+  for (const std::string& args :
+       {std::string("single"), "run --run-dir " + dir_.string(), "submit --root " + dir_.string(),
+        "chaos --run-dir " + dir_.string()}) {
+    const auto [rc, out] = run_cli(args);
+    EXPECT_EQ(rc, 2) << args;
+    EXPECT_NE(out.find("needs --spec"), std::string::npos) << out;
+  }
+  EXPECT_FALSE(fs::exists(dir_));
 }
 
 #endif  // RELDIV_SWEEP_BIN

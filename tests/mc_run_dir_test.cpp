@@ -399,7 +399,7 @@ TEST(RunDirCodecTest, DemandManifestRoundTripAndFingerprint) {
   other.target_pfd[0] += 1e-9;
   EXPECT_NE(mc::demand_manifest_fingerprint(other), mc::demand_manifest_fingerprint(m));
 
-  EXPECT_NE(mc::demand_manifest_json(m).find("\"demand_campaign\""), std::string::npos);
+  EXPECT_NE(mc::manifest_to_json(m).find("\"kind\": \"demand_campaign\""), std::string::npos);
 }
 
 TEST(RunDirCodecTest, ExperimentManifestRoundTripAndFingerprint) {
@@ -426,7 +426,7 @@ TEST(RunDirCodecTest, ExperimentManifestRoundTripAndFingerprint) {
   EXPECT_NE(mc::experiment_manifest_fingerprint(other),
             mc::experiment_manifest_fingerprint(m));
 
-  EXPECT_NE(mc::experiment_manifest_json(m).find("\"experiment_shards\""),
+  EXPECT_NE(mc::manifest_to_json(m).find("\"kind\": \"experiment_shards\""),
             std::string::npos);
 }
 

@@ -171,13 +171,20 @@ TEST_F(ServiceTest, RunHandleOpensAnyKindAndDispatchesTypedAccess) {
   EXPECT_NO_THROW((void)exp.experiment_shards_manifest());
 }
 
-TEST_F(ServiceTest, RunHandleWrappersMatchTheFreeFunctions) {
+TEST_F(ServiceTest, RunHandleOpenMatchesInit) {
   const fs::path dir = root_ / "demand";
   const mc::run_handle inited = mc::run_handle::init(test_demand_manifest(), dir);
-  // The thin per-kind wrappers go through run_handle; both views agree.
-  const mc::demand_manifest loaded = mc::load_demand_manifest(dir);
-  EXPECT_EQ(mc::demand_manifest_fingerprint(loaded), inited.fingerprint());
-  EXPECT_EQ(mc::load_run_kind(dir), mc::job_kind::demand_campaign);
+  // The handle init returns and the one open() reads back agree.
+  const mc::run_handle opened = mc::run_handle::open(dir);
+  EXPECT_EQ(mc::demand_manifest_fingerprint(opened.demand_campaign_manifest()),
+            inited.fingerprint());
+  EXPECT_EQ(opened.fingerprint(), inited.fingerprint());
+  EXPECT_EQ(opened.kind(), mc::job_kind::demand_campaign);
+  EXPECT_EQ(opened.cell_count(), inited.cell_count());
+  // The variant overload is the typed one: same directory, same identity.
+  const mc::manifest_variant m = test_demand_manifest();
+  EXPECT_EQ(mc::run_handle::init(m, dir).fingerprint(), inited.fingerprint());
+  EXPECT_EQ(mc::manifest_fingerprint(m), inited.fingerprint());
 }
 
 TEST_F(ServiceTest, RunHandleMergeMatchesOracleForEveryKind) {
@@ -303,7 +310,8 @@ TEST_F(ServiceTest, WorkerPicksUpARunSubmittedAfterItStarted) {
   const mc::demand_manifest m = test_demand_manifest();
   const mc::demand_tally oracle =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
-  EXPECT_EQ(mc::merge_demand_run_dir(dir).failures, oracle.failures);
+  EXPECT_EQ(std::get<mc::demand_tally>(mc::run_handle::open(dir).merge()).failures,
+            oracle.failures);
 }
 
 TEST_F(ServiceTest, DrainedWorkerLeavesNoClaimsAndNoTmpFiles) {

@@ -377,7 +377,7 @@ TEST(FastSimdEngine, ManifestWireCodecRoundTripsFastSimd) {
   EXPECT_EQ(decoded.engine, mc::sampling_engine::fast_simd);
   EXPECT_EQ(mc::experiment_manifest_fingerprint(decoded),
             mc::experiment_manifest_fingerprint(m));
-  EXPECT_NE(mc::experiment_manifest_json(m).find("\"engine\": 3"),
+  EXPECT_NE(mc::manifest_to_json(m).find("\"engine\": 3"),
             std::string::npos);
 }
 

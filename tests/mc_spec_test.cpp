@@ -9,7 +9,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/fault_mask.hpp"
@@ -235,7 +241,7 @@ TEST(SweepSpec, SpecFromManifestIsLaunchable) {
 TEST(SweepSpec, DescribeJsonCarriesIdentity) {
   const mc::sweep_spec spec = parse_ok(kScenarioSpec);
   const auto& m = std::get<mc::sweep_manifest>(spec.manifest);
-  const std::string json = mc::describe_manifest_json(spec.manifest);
+  const std::string json = mc::manifest_to_json(spec.manifest);
   EXPECT_NE(json.find("\"kind\": \"scenario_grid\""), std::string::npos);
   EXPECT_NE(json.find("\"rho_model\": \"mixture\""), std::string::npos);
   char fp[32];
@@ -243,6 +249,49 @@ TEST(SweepSpec, DescribeJsonCarriesIdentity) {
                 static_cast<unsigned long long>(mc::manifest_fingerprint(m)));
   EXPECT_NE(json.find(fp), std::string::npos);
 }
+
+#ifdef RELDIV_SPEC_DIR
+
+/// The shipped examples/specs/*.spec files are the only copy of the example
+/// jobs: every one must parse cleanly, and the CI quota math in
+/// tools/ci_distributed_sweep.sh (and the service script's status counts)
+/// relies on these exact cell counts.
+TEST(SweepSpec, ShippedSpecsParseWithPinnedCellCounts) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"scenario_ci", 24}, {"demand_ci", 49},    {"experiment_ci", 16},
+      {"scenario_smoke", 16}, {"demand_smoke", 16}, {"experiment_smoke", 4}};
+  std::map<std::string, std::uint64_t> found;
+  for (const auto& entry : std::filesystem::directory_iterator(RELDIV_SPEC_DIR)) {
+    if (entry.path().extension() != ".spec") continue;
+    std::ifstream f(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << f.rdbuf();
+    const mc::spec_parse_result r =
+        mc::parse_sweep_spec(text.str(), entry.path().filename().string());
+    ASSERT_TRUE(r.spec.has_value()) << entry.path() << ": " << r.errors.front().render();
+    EXPECT_TRUE(r.errors.empty());
+    // The file name's prefix is the job kind it declares.
+    const std::string stem = entry.path().stem().string();
+    EXPECT_EQ(stem.substr(0, stem.find('_')),
+              std::string(mc::job_kind_name(r.spec->kind)).substr(0, stem.find('_')))
+        << stem;
+    found[stem] = std::visit(
+        [](const auto& m) -> std::uint64_t {
+          if constexpr (std::is_same_v<std::decay_t<decltype(m)>, mc::sweep_manifest>) {
+            return m.cell_count;
+          } else {
+            return m.window_count();
+          }
+        },
+        r.spec->manifest);
+  }
+  for (const auto& [stem, cells] : pinned) {
+    ASSERT_TRUE(found.count(stem)) << stem << ".spec is missing";
+    EXPECT_EQ(found[stem], cells) << stem;
+  }
+}
+
+#endif  // RELDIV_SPEC_DIR
 
 // ---------------------------------------------------------------------------
 // Diagnostics: exact file:line: field positions, never throwing

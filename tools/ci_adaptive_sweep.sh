@@ -3,8 +3,8 @@
 #
 #   round-1 spec --submit--> service fleet --merge--> round-1 CSV
 #          `refine` (twice: the emitted round-2 spec must be byte-identical)
-#   round-2 spec --single--> uninterrupted oracle
-#   round-2 spec --distributed, SIGKILL mid-run, resume--> must byte-match it
+#   round-2 spec --(single)--> uninterrupted oracle
+#   round-2 spec --(run), SIGKILL mid-run, resume--> must byte-match it
 #   round-2 spec --resubmit--> service merge must byte-match it too
 #
 # The round-1 spec deliberately exercises the new axes (negative-rho copula
@@ -90,7 +90,7 @@ echo "=== round 2: distributed run, 4 workers, SIGKILL mid-run, resume ==="
 # Quota'd AND killed, like ci_distributed_sweep.sh: the per-worker quota
 # guarantees the first wave leaves the directory partial even if the kill
 # races a fast machine.
-setsid "$sweep" --spec round2.spec --run-dir run2.d --workers 4 --max-cells 1 &
+setsid "$sweep" run --spec round2.spec --run-dir run2.d --workers 4 --max-cells 1 &
 coordinator=$!
 count_states() {
   local files=(run2.d/cells/*.state)
@@ -112,7 +112,7 @@ if [[ "$done_cells" -lt 2 || "$done_cells" -ge "$total_cells" ]]; then
   echo "ERROR: kill landed outside the partial window ($done_cells cells)" >&2
   exit 1
 fi
-"$sweep" --spec round2.spec --run-dir run2.d --workers 4 --out-csv round2_resumed.csv
+"$sweep" run --spec round2.spec --run-dir run2.d --workers 4 --out-csv round2_resumed.csv
 cmp round2_oracle.csv round2_resumed.csv
 
 echo

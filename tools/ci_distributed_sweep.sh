@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # CI proof of the multi-process job driver, one job kind per invocation: run
-# the kind's ci preset across 4 worker processes, SIGKILL the whole process
+# the kind's shipped ci spec (examples/specs/MODE_ci.spec) across 4 worker
+# processes, SIGKILL the whole process
 # tree mid-run, resume from the surviving state files, and require the merged
 # CSV/JSON to be byte-equal to the single-process oracle.
 #
 # Usage: tools/ci_distributed_sweep.sh SWEEP_BINARY MODE [WORK_DIR] [BUDGET]
 #   SWEEP_BINARY  path to a built reldiv_sweep
-#   MODE          scenario | demand | experiment (the driver's three job kinds)
+#   MODE          scenario | demand | experiment (picks MODE_ci.spec)
 #   WORK_DIR      scratch directory (default: ./sweep-ci-MODE); the run
 #                 directory inside it is what CI uploads as an artifact
-#   BUDGET        samples per cell / demands per target (default: the ci
-#                 preset's; shrink for fast local smoke runs)
+#   BUDGET        samples per cell / demands per target (default: the
+#                 spec's; shrink for fast local smoke runs)
 #
 # The first wave is BOTH killed and quota'd (--max-cells): the SIGKILL proves
 # the crash story on whatever the workers were doing at that instant, while
@@ -23,7 +24,7 @@ shopt -s nullglob  # an empty cells/ dir must count as 0, not as an ls error
 sweep="$(readlink -f "$1")"
 mode="$2"
 work_dir="${3:-sweep-ci-$mode}"
-budget="${4:-0}"   # 0 = preset default
+budget="${4:-0}"   # 0 = the spec's
 
 # Pre-flight: the sweep exercises the io_env seam and the lease protocol, so
 # refuse to run it over sources that violate the repo's own invariants.
@@ -58,14 +59,8 @@ case "$mode" in
     ;;
 esac
 
-# The single-process oracle is built from the legacy preset flags; the
-# distributed run is driven by the SHIPPED spec file for the same preset.
-# The final byte-diff therefore also proves the spec path and the preset
-# path build fingerprint-identical manifests (satellite of the spec PR).
-grid_args=(--mode "$mode" --preset ci --seed 20260731)
-spec_args=(--mode "$mode" --spec "$repo_root/examples/specs/${mode}_ci.spec" --seed 20260731)
+spec_args=(--spec "$repo_root/examples/specs/${mode}_ci.spec" --seed 20260731)
 if [[ "$budget" != "0" ]]; then
-  grid_args+=(--budget "$budget")
   spec_args+=(--budget "$budget")
 fi
 
@@ -74,13 +69,13 @@ mkdir -p "$work_dir"
 cd "$work_dir"
 
 echo "=== [$mode] single-process oracle ==="
-"$sweep" --single "${grid_args[@]}" --out-csv single.csv --out-json single.json
+"$sweep" single "${spec_args[@]}" --out-csv single.csv --out-json single.json
 
 echo
 echo "=== [$mode] distributed run, 4 workers, SIGKILL mid-run ==="
 # Own session/process group so one kill(-pgid) takes out the coordinator AND
 # its workers, exactly like an OOM-killer or node preemption would.
-setsid "$sweep" "${spec_args[@]}" --run-dir run.d --workers 4 \
+setsid "$sweep" run "${spec_args[@]}" --run-dir run.d --workers 4 \
        --max-cells "$quota" &
 coordinator=$!
 
@@ -118,19 +113,19 @@ if [[ "$done_cells" -lt 2 ]]; then
 fi
 if [[ "$done_cells" -ge "$total_cells" ]]; then
   # The quota math above guarantees this can't happen; if it does, the
-  # presets and this script have drifted apart and the job proves nothing.
-  echo "ERROR: run complete before the kill; re-tune the preset/quota pairing" >&2
+  # shipped specs and this script have drifted apart (mc_spec_test pins
+  # their cell counts) and the job proves nothing.
+  echo "ERROR: run complete before the kill; re-tune the spec/quota pairing" >&2
   exit 1
 fi
 
 echo
 echo "=== [$mode] resume from the surviving state files ==="
-"$sweep" "${spec_args[@]}" --run-dir run.d --workers 4 \
+"$sweep" run "${spec_args[@]}" --run-dir run.d --workers 4 \
          --out-csv dist.csv --out-json dist.json
 
 echo
-echo "=== [$mode] spec-driven merged result must be byte-identical to the"
-echo "===         preset-flag single-process run ==="
+echo "=== [$mode] merged result must be byte-identical to the single-process run ==="
 cmp single.csv dist.csv
 cmp single.json dist.json
 

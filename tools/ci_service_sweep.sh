@@ -24,26 +24,19 @@ cd "$work_dir"
 
 seed=20260809
 # Budgets sized so the fleet needs a couple of seconds: room for the SIGKILL
-# to land mid-run without slowing the job down.  The oracles run from the
-# legacy preset flags while the submissions below are driven by the SHIPPED
-# spec files for the same presets — every byte-diff (and the final cache-hit
-# resubmit, which goes back through the preset flags) therefore proves the
-# two build paths produce fingerprint-identical manifests.
-scn_args=(--mode scenario --preset smoke --seed "$seed" --budget 150000)
-dem_args=(--mode demand --preset smoke --seed "$seed")
-scn_spec_args=(--mode scenario --spec "$repo_root/examples/specs/scenario_smoke.spec"
-               --seed "$seed" --budget 150000)
-dem_spec_args=(--mode demand --spec "$repo_root/examples/specs/demand_smoke.spec"
-               --seed "$seed")
+# to land mid-run without slowing the job down.
+scn_args=(--spec "$repo_root/examples/specs/scenario_smoke.spec" --seed "$seed"
+          --budget 150000)
+dem_args=(--spec "$repo_root/examples/specs/demand_smoke.spec" --seed "$seed")
 
 echo "=== single-process oracles ==="
 "$sweep" single "${scn_args[@]}" --quiet --out-csv oracle_scn.csv --out-json oracle_scn.json
 "$sweep" single "${dem_args[@]}" --quiet --out-csv oracle_dem.csv --out-json oracle_dem.json
 
 echo
-echo "=== submit two runs of different kinds (from the shipped spec files) ==="
-"$sweep" submit --root svc "${scn_spec_args[@]}" --name a_scenario
-"$sweep" submit --root svc "${dem_spec_args[@]}" --name b_demand
+echo "=== submit two runs of different kinds ==="
+"$sweep" submit --root svc "${scn_args[@]}" --name a_scenario
+"$sweep" submit --root svc "${dem_args[@]}" --name b_demand
 
 echo
 echo "=== status before serving: exact cell counts, nothing done ==="
@@ -106,9 +99,6 @@ fi
 
 echo
 echo "=== identical re-submission must be served from the result cache ==="
-# Resubmitted through the PRESET flags although the original submission came
-# from the spec file: a cache hit is only possible if both paths build the
-# same manifest fingerprint.
 # Delete every run directory first: only the memoized result can answer now.
 rm -rf svc/runs
 "$sweep" submit --root svc "${scn_args[@]}" --out-csv cached_scn.csv --out-json cached_scn.json \
